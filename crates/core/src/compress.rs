@@ -602,7 +602,9 @@ fn float_windows_into(
 /// `ws`-chunk per window to `coeffs`.
 ///
 /// Like [`float_windows_into`], the whole channel is staged as flat
-/// Q1.15 windows and transformed by one SoA-batched forward call
+/// Q1.15 windows (through the dispatched
+/// [`compaqt_dsp::fixed::quantize_into`]) and transformed by one
+/// SoA-batched forward call
 /// ([`compaqt_dsp::batched::BatchedIntDctPlan`]), bit-identical to the
 /// per-window [`compaqt_dsp::intdct::IntDct::forward_into`].
 fn int_windows_into(
@@ -618,9 +620,7 @@ fn int_windows_into(
     let mut q_stage = std::mem::take(&mut scratch.q_stage);
     q_stage.clear();
     q_stage.resize(padded, Q15::ZERO);
-    for (q, &v) in q_stage.iter_mut().zip(samples) {
-        *q = Q15::from_f64(v);
-    }
+    compaqt_dsp::fixed::quantize_into(samples, &mut q_stage[..samples.len()]);
     let start = out.len();
     let result = scratch.batched_int_plan(ws).map(|plan| {
         out.resize(start + padded, 0);

@@ -560,9 +560,10 @@ impl DecompressionEngine {
                             stats.memory_words_read += words.len();
                             stats.rle_codewords +=
                                 words.iter().filter(|w| matches!(w, CodedWord::Rle(_))).count();
-                            fused_int_window(
+                            compaqt_dsp::sparse::inverse_rle_f64_into(
                                 t,
                                 words,
+                                crate::compress::INT_STORE_SHIFT,
                                 &mut scratch.coeffs,
                                 &mut out[pos..pos + window],
                             )?;
@@ -598,8 +599,8 @@ impl DecompressionEngine {
         match &self.stage {
             InverseStage::Integer(_) => {
                 // decode_channel_into routes every integer window through
-                // fused_int_window or the batched SoA inverse; keeping a
-                // third integer kernel here would invite silent
+                // the fused sparse kernel or the batched SoA inverse;
+                // keeping a third integer kernel here would invite silent
                 // divergence between them.
                 unreachable!("integer windows are decoded by the fused or batched kernels")
             }
@@ -719,81 +720,6 @@ fn check_window_claims(windows: &[Vec<CodedWord>], window: usize) -> Result<(), 
                 reason: "window claims more samples than its codewords can expand to",
             });
         }
-    }
-    Ok(())
-}
-
-/// Fused RLE-decode + integer IDCT for one window: coefficient words
-/// accumulate their basis row directly (zero-run codewords advance the
-/// position without touching the accumulators — the RLE buffer stage of
-/// Figure 10 collapses away). This is the sparse-stream inner loop of
-/// the zero-allocation int-DCT-W decode path; dense streams take the
-/// SoA-batched inverse instead (see
-/// [`DecompressionEngine::decode_channel_into`]).
-///
-/// Accumulators are `i32` on the stack: the worst case
-/// `sum_k |T[k][i]| * |coeff| * 2^INT_STORE_SHIFT` is
-/// `5760 * 32768 * 4 < 2^30` at WS=64, so the arithmetic cannot overflow
-/// and the result is bit-identical to the i64 reference kernel
-/// ([`IntDct::inverse_f64_into`]); the round-trip property suite asserts
-/// the equality on every variant.
-///
-/// Windows carrying repeat-previous codewords (possible in hand-built
-/// streams, never emitted by the windowed compressor) fall back to the
-/// materializing decoder through the caller's `coeffs` staging buffer to
-/// preserve exact RLE semantics.
-fn fused_int_window(
-    t: &IntDct,
-    words: &[CodedWord],
-    coeffs: &mut Vec<i32>,
-    dst: &mut [f64],
-) -> Result<(), CompressError> {
-    use compaqt_dsp::rle::{RleCodeword, RleError};
-    let window = dst.len();
-    if words.iter().any(|w| matches!(w, CodedWord::Rle(RleCodeword { repeat_previous: true, .. })))
-    {
-        // Rare general case: materialize the coefficient window.
-        coeffs.resize(window, 0);
-        RleDecoder::new().decode_window_into(words, coeffs)?;
-        t.inverse_f64_into(coeffs, crate::compress::INT_STORE_SHIFT, dst);
-        return Ok(());
-    }
-    let mut acc = [0i32; 64];
-    let acc = &mut acc[..window];
-    let mut pos = 0usize;
-    for &w in words {
-        match w {
-            CodedWord::Coeff(v) => {
-                if pos >= window {
-                    return Err(RleError::Overflow { produced: pos + 1, window }.into());
-                }
-                if v != 0 {
-                    let v = i32::from(v);
-                    for (a, &row) in acc.iter_mut().zip(t.row(pos)) {
-                        *a += row * v;
-                    }
-                }
-                pos += 1;
-            }
-            CodedWord::Rle(RleCodeword { run, .. }) => {
-                // Zero run: nothing reaches the accumulators.
-                let run = usize::from(run);
-                if run > window - pos {
-                    return Err(RleError::Overflow { produced: pos + run, window }.into());
-                }
-                pos += run;
-            }
-        }
-    }
-    if pos != window {
-        return Err(RleError::Underflow { produced: pos, window }.into());
-    }
-    let shift = t.inverse_shift();
-    let rnd = 1i32 << (shift - 1);
-    for (o, &a) in dst.iter_mut().zip(acc.iter()) {
-        let v = ((a << crate::compress::INT_STORE_SHIFT) + rnd) >> shift;
-        let raw = v.clamp(i32::from(i16::MIN), i32::from(i16::MAX)) as i16;
-        *o = f64::from(raw) / 32768.0;
     }
     Ok(())
 }

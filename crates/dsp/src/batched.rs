@@ -90,7 +90,10 @@ pub const MAX_BATCH_CHUNK: usize = 32;
 /// The SIMD capability tier driving the batched row primitives.
 ///
 /// Every tier computes bit-identical results (see the module docs); the
-/// tiers differ only in how many lanes one instruction touches.
+/// tiers differ only in how many lanes one instruction touches. The
+/// same tier also selects the [`crate::sparse`] window kernel, the
+/// [`crate::fixed::quantize_into`] staging kernel and `compaqt-io`'s
+/// CRC-32 folding kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelTier {
     /// Plain slice loops — the mandatory fallback on every platform.

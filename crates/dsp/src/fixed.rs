@@ -5,6 +5,7 @@
 //! quadrature (Q) channels as two 16-bit values (Table I). [`Q15`] is that
 //! 16-bit channel format: a signed Q1.15 value in `[-1.0, 1.0)`.
 
+use crate::batched::KernelTier;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Neg, Sub};
@@ -28,6 +29,7 @@ use std::ops::{Add, Neg, Sub};
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
+#[repr(transparent)]
 pub struct Q15(i16);
 
 /// Number of fractional bits in [`Q15`].
@@ -146,7 +148,110 @@ impl Neg for Q15 {
 /// assert_eq!(q.len(), 3);
 /// ```
 pub fn quantize(samples: &[f64]) -> Vec<Q15> {
-    samples.iter().map(|&s| Q15::from_f64(s)).collect()
+    let mut out = vec![Q15::ZERO; samples.len()];
+    quantize_into(samples, &mut out);
+    out
+}
+
+/// Quantizes `samples` into `out`, each element bit-identical to
+/// [`Q15::from_f64`]: round half away from zero, saturate, NaN to zero.
+///
+/// This is the encoder's staging loop. On the
+/// [`KernelTier::Avx2`] tier it converts eight samples per step (round
+/// toward zero, then add the sign where the dropped fraction is at least
+/// one half — both steps exact); elsewhere it calls [`Q15::from_f64`]
+/// per sample, the reference the AVX2 kernel is tested against.
+///
+/// # Panics
+///
+/// Panics if `samples.len() != out.len()`.
+///
+/// # Example
+///
+/// ```
+/// use compaqt_dsp::fixed::{quantize_into, Q15};
+///
+/// let samples = [0.5, -2.0, f64::NAN, 1.5 / 32768.0];
+/// let mut out = [Q15::ZERO; 4];
+/// quantize_into(&samples, &mut out);
+/// assert_eq!(out.map(Q15::raw), [16384, -32768, 0, 2]);
+/// ```
+pub fn quantize_into(samples: &[f64], out: &mut [Q15]) {
+    quantize_into_on(KernelTier::detected(), samples, out);
+}
+
+/// [`quantize_into`] with the kernel tier pinned; `tier` must be
+/// [`KernelTier::Scalar`] or what [`KernelTier::detected`] reports.
+fn quantize_into_on(tier: KernelTier, samples: &[f64], out: &mut [Q15]) {
+    assert_eq!(samples.len(), out.len(), "output length must match input length");
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: every caller passes `KernelTier::detected()` (tests:
+        // Avx2 only when that is what it reports), which reports Avx2
+        // only after runtime detection of `avx2`; the lengths were
+        // checked equal above.
+        KernelTier::Avx2 => unsafe { x86::quantize_avx2(samples, out) },
+        _ => {
+            for (o, &v) in out.iter_mut().zip(samples) {
+                *o = Q15::from_f64(v);
+            }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    //! The AVX2 staging kernel: eight samples per step, unaligned loads
+    //! and stores, [`Q15::from_f64`] for the tail.
+
+    use super::{Q15, Q15_ONE};
+    use std::arch::x86_64::*;
+
+    /// # Safety
+    /// The caller must have verified AVX2 support at runtime, and
+    /// `samples.len() == out.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn quantize_avx2(samples: &[f64], out: &mut [Q15]) {
+        let n = samples.len();
+        let mut i = 0;
+        while i + 8 <= n {
+            let a = round_saturate(_mm256_loadu_pd(samples.as_ptr().add(i)));
+            let b = round_saturate(_mm256_loadu_pd(samples.as_ptr().add(i + 4)));
+            // Integral and within i16, so the conversions and the
+            // saturating pack are exact.
+            let packed = _mm_packs_epi32(_mm256_cvttpd_epi32(a), _mm256_cvttpd_epi32(b));
+            // `Q15` is `repr(transparent)` over `i16`, and `i + 8 <= n`.
+            _mm_storeu_si128(out.as_mut_ptr().add(i).cast(), packed);
+            i += 8;
+        }
+        for (o, &v) in out[i..].iter_mut().zip(&samples[i..]) {
+            *o = Q15::from_f64(v);
+        }
+    }
+
+    /// `v * 2^15` rounded half away from zero and clamped to the i16
+    /// range, NaN lanes zero, as integral `f64`s. Clamping before
+    /// rounding gives the same result as after: the bounds are integers
+    /// and rounding is monotonic.
+    ///
+    /// # Safety
+    /// AVX2 must be enabled on the calling path.
+    #[inline(always)]
+    unsafe fn round_saturate(v: __m256d) -> __m256d {
+        let sign = _mm256_set1_pd(-0.0);
+        let x = _mm256_mul_pd(v, _mm256_set1_pd(Q15_ONE));
+        let x = _mm256_and_pd(x, _mm256_cmp_pd::<_CMP_ORD_Q>(x, x));
+        let x = _mm256_min_pd(
+            _mm256_max_pd(x, _mm256_set1_pd(f64::from(i16::MIN))),
+            _mm256_set1_pd(f64::from(i16::MAX)),
+        );
+        let t = _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(x);
+        // Exact: `t` and `x` share a sign and `|x - t| < 1`.
+        let frac = _mm256_sub_pd(x, t);
+        let away = _mm256_cmp_pd::<_CMP_GE_OQ>(_mm256_andnot_pd(sign, frac), _mm256_set1_pd(0.5));
+        let step = _mm256_or_pd(_mm256_and_pd(x, sign), _mm256_set1_pd(1.0));
+        _mm256_add_pd(t, _mm256_and_pd(away, step))
+    }
 }
 
 /// Converts a slice of Q1.15 samples back to real values.
@@ -212,6 +317,104 @@ mod tests {
         for (a, b) in signal.iter().zip(restored.iter()) {
             assert!((a - b).abs() <= 1.0 / Q15_ONE);
         }
+    }
+
+    /// Scalar, plus AVX2 when this CPU runs it.
+    fn tiers() -> Vec<KernelTier> {
+        let mut tiers = vec![KernelTier::Scalar];
+        if KernelTier::detected() == KernelTier::Avx2 {
+            tiers.push(KernelTier::Avx2);
+        }
+        tiers
+    }
+
+    /// Every tier against `Q15::from_f64`, from nine start offsets so
+    /// every ragged tail length past the 8-sample SIMD step occurs.
+    fn assert_tiers_match(values: &[f64]) {
+        let expect: Vec<Q15> = values.iter().map(|&v| Q15::from_f64(v)).collect();
+        for tier in tiers() {
+            for start in 0..values.len().min(9) {
+                let mut out = vec![Q15::MIN; values.len() - start];
+                quantize_into_on(tier, &values[start..], &mut out);
+                for (k, (o, e)) in out.iter().zip(&expect[start..]).enumerate() {
+                    let v = values[start + k];
+                    assert_eq!(o, e, "{tier:?}: {v:e} (bits {:#x})", v.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_into_matches_from_f64_on_special_values() {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+            f64::MAX,
+            f64::MIN,
+            1.0,
+            -1.0,
+            2.0,
+            -2.0,
+            1e300,
+            -1e300,
+            32767.0 / 32768.0,
+            32767.49 / 32768.0,
+            -32768.49 / 32768.0,
+            0.5 / 32768.0,
+            -0.5 / 32768.0,
+            0.49999999999999994 / 32768.0,
+            -0.49999999999999994 / 32768.0,
+        ];
+        // Exact halves k + 0.5 across the whole range and past both ends,
+        // and their neighbours one ulp either side.
+        for k in -32770i32..32770 {
+            let half = (f64::from(k) + 0.5) / Q15_ONE;
+            values.extend([
+                half,
+                f64::from_bits(half.to_bits() + 1),
+                f64::from_bits(half.to_bits() - 1),
+            ]);
+        }
+        assert_tiers_match(&values);
+    }
+
+    #[test]
+    fn quantize_into_matches_from_f64_on_random_bit_patterns() {
+        let mut state = 0xC0FF_EE00_D15E_A5E5u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Raw bit patterns (any exponent, NaN payloads, infinities) and
+        // values near the Q1.15 range.
+        let values: Vec<f64> = (0..20_000)
+            .map(|k| {
+                let r = next();
+                if k % 2 == 0 {
+                    f64::from_bits(r)
+                } else {
+                    (r >> 11) as f64 / (1u64 << 53) as f64 * 2.2 - 1.1
+                }
+            })
+            .collect();
+        assert_tiers_match(&values);
+    }
+
+    #[test]
+    #[should_panic(expected = "output length")]
+    fn quantize_into_rejects_mismatched_lengths() {
+        quantize_into(&[0.0; 4], &mut [Q15::ZERO; 3]);
     }
 
     #[test]

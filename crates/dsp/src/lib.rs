@@ -25,6 +25,8 @@
 //!   multipliers with shift-and-add networks, plus the resource-count model
 //!   behind Table IV.
 //! * [`rle`] — the run-length codeword scheme used after thresholding.
+//! * [`sparse`] — fused run-length decode + sparse integer inverse for
+//!   one window, with a runtime-dispatched AVX2 kernel.
 //! * [`threshold`] — magnitude thresholding of transform coefficients.
 //! * [`metrics`] — MSE / PSNR / compression-ratio measurements.
 //! * [`window`] — splitting waveforms into fixed-size transform windows.
@@ -90,6 +92,7 @@ pub mod loeffler;
 pub mod metrics;
 pub mod plan;
 pub mod rle;
+pub mod sparse;
 pub mod threshold;
 pub mod window;
 

@@ -425,9 +425,15 @@ impl std::error::Error for ReadFrameError {
     }
 }
 
+/// How far [`read_frame`] grows its buffer past the bytes that have
+/// already landed, beyond the capacity it already holds.
+const READ_GROW_STEP: usize = 64 * 1024;
+
 /// Reads and validates one frame from a blocking stream into a
 /// reusable buffer. The header is validated **before** the payload is
-/// buffered, so a hostile length claim costs nothing; `buf` keeps its
+/// buffered, and the buffer then grows in steps of at most 64 KiB past
+/// the bytes received, so a length claim up to `max_payload` commits
+/// memory only as fast as the peer actually sends bytes. `buf` keeps its
 /// capacity across calls, so a steady-state connection reads without
 /// allocating. EOF cleanly at a frame boundary is [`FrameRead::Eof`];
 /// EOF mid-frame is [`ProtocolError::Truncated`].
@@ -444,8 +450,15 @@ pub fn read_frame(
     let mut header = &buf[..];
     let (kind, len) = parse_header(&mut header, max_payload).map_err(ReadFrameError::Protocol)?;
     let total = FRAME_HEADER_BYTES + len + FRAME_TRAILER_BYTES;
-    buf.resize(total, 0);
-    fill(stream, &mut buf[FRAME_HEADER_BYTES..], false)?;
+    let mut filled = FRAME_HEADER_BYTES;
+    while filled < total {
+        // Capacity already held is free to use; growth past it waits
+        // for the bytes before it to arrive.
+        let end = total.min(buf.capacity().max(filled + READ_GROW_STEP));
+        buf.resize(end, 0);
+        fill(stream, &mut buf[filled..end], false)?;
+        filled = end;
+    }
     check_crc(buf).map_err(ReadFrameError::Protocol)?;
     Ok(FrameRead::Frame(kind))
 }
@@ -916,6 +929,48 @@ mod tests {
             read_frame(&mut stream, &mut buf, 1024),
             Err(ReadFrameError::Protocol(ProtocolError::Truncated))
         ));
+    }
+
+    #[test]
+    fn a_claimed_length_commits_memory_only_as_bytes_arrive() {
+        let max = DEFAULT_MAX_FRAME_BYTES;
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&WIRE_MAGIC.to_le_bytes());
+        wire.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+        wire.extend_from_slice(&FrameKind::Pong.tag().to_le_bytes());
+        wire.extend_from_slice(&max.to_le_bytes());
+        wire.extend_from_slice(&[0xAB; 5]);
+        let mut stream = &wire[..];
+        let mut buf = Vec::new();
+        assert!(matches!(
+            read_frame(&mut stream, &mut buf, max),
+            Err(ReadFrameError::Protocol(ProtocolError::Truncated))
+        ));
+        assert!(
+            buf.capacity() <= 2 * (FRAME_HEADER_BYTES + READ_GROW_STEP),
+            "a {max}-byte claim followed by 5 bytes grew the buffer to {}",
+            buf.capacity()
+        );
+
+        // A frame larger than one step still arrives whole, and a warm
+        // buffer reads it again without growing.
+        let mut out = BytesMut::new();
+        begin_frame(&mut out, FrameKind::Pong);
+        out.put_slice(&vec![7u8; 3 * READ_GROW_STEP + 11]);
+        end_frame(&mut out);
+        let mut buf = Vec::new();
+        for _ in 0..2 {
+            let mut stream = &out[..];
+            assert_eq!(
+                read_frame(&mut stream, &mut buf, max).unwrap(),
+                FrameRead::Frame(FrameKind::Pong)
+            );
+            assert_eq!(buf, out[..]);
+        }
+        let warm = buf.capacity();
+        let mut stream = &out[..];
+        read_frame(&mut stream, &mut buf, max).unwrap();
+        assert_eq!(buf.capacity(), warm);
     }
 
     #[test]

@@ -540,6 +540,34 @@ fn steady_state_library_codec_allocates_nothing() {
         requests.len()
     );
 
+    // ---- Wire reading: `read_frame` grows its buffer in bounded steps
+    // as bytes land, but a warm buffer reading the same frames again
+    // (requests, and the largest response: the whole-library batch)
+    // must not allocate.
+    use compaqt::io::wire::{read_frame, DEFAULT_MAX_FRAME_BYTES};
+    let mut stream_bytes: Vec<u8> = requests.concat();
+    stream_bytes.extend_from_slice(responder.respond(&store, requests.last().unwrap()).unwrap());
+    let mut read_buf = Vec::new();
+    let read_all = |read_buf: &mut Vec<u8>| {
+        let mut stream = &stream_bytes[..];
+        let mut frames = 0usize;
+        while let compaqt::io::wire::FrameRead::Frame(_) =
+            read_frame(&mut stream, read_buf, DEFAULT_MAX_FRAME_BYTES).unwrap()
+        {
+            frames += 1;
+        }
+        frames
+    };
+    read_all(&mut read_buf);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut frames_read = 0usize;
+    for _ in 0..10 {
+        frames_read += read_all(&mut read_buf);
+    }
+    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(frames_read, 10 * (requests.len() + 1));
+    assert_eq!(delta, 0, "steady-state frame reads must not allocate, saw {delta}");
+
     // ---- Wire serving straight from a container: the same responder,
     // answering from a lazily-validated `Reader` instead of a resident
     // `Store` through the `FetchSource` bridge. Streams are served

@@ -14,8 +14,9 @@
 //!    `Store::from_reader`-loaded store produce the same samples as
 //!    decoding the never-serialized stream;
 //! 3. **determinism** — container bytes are identical across add
-//!    orders and across writer entry points (`Writer` vs
-//!    `write_library` vs `write_store`).
+//!    orders, across writer entry points (`Writer` vs
+//!    `write_library` vs `write_store`), and across SIMD kernel tiers
+//!    (`COMPAQT_FORCE_SCALAR`).
 
 use compaqt::core::adaptive::AdaptiveCompressor;
 use compaqt::core::compress::{CompressedWaveform, Compressor, Variant};
@@ -179,6 +180,85 @@ fn container_bytes_are_deterministic() {
     let reader = Reader::new(direct.clone()).unwrap();
     let reloaded = reader.into_store(StoreConfig::default()).unwrap();
     assert_eq!(direct.as_ref(), write_store(&reloaded).unwrap().as_ref(), "reload fixed point");
+}
+
+/// Names the file a re-executed copy of this test binary writes its
+/// result to (see [`kernel_tier_child`]).
+const TIER_CHILD_OUT: &str = "COMPAQT_TIER_CHILD_OUT";
+
+/// The 433-qubit fleet's container at the paper's design point, plus an
+/// FNV-1a digest of every sample `Reader::fetch_into` decodes from it.
+/// The fleet's pulses decode to no negative sample, so the digest also
+/// covers negative-amplitude pulses encoded and decoded in memory.
+fn hex_433_container_and_decode_digest() -> (Vec<u8>, u64) {
+    let spec = compaqt::pulse::registry::Registry::builtin()
+        .get("hex-433")
+        .expect("hex-433 is a builtin device")
+        .clone();
+    let lib = spec.build_library();
+    let compressor = Compressor::new(Variant::IntDctW { ws: 16 });
+    let bytes = write_library(&lib, &compressor).unwrap();
+    let reader = Reader::new(bytes.clone()).unwrap();
+    let mut scratch = ContainerScratch::new();
+    let (mut i, mut q) = (Vec::new(), Vec::new());
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |i: &[f64], q: &[f64]| {
+        for v in i.iter().chain(q) {
+            for b in v.to_bits().to_le_bytes() {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+    };
+    for (gate, _) in lib.iter_sorted() {
+        reader.fetch_into(gate, &mut scratch, &mut i, &mut q).unwrap();
+        fold(&i, &q);
+    }
+    let engine = DecompressionEngine::for_variant(compressor.variant()).unwrap();
+    let mut decode = DecodeScratch::new();
+    for amp in [-0.95, -0.4, 0.7] {
+        for wf in [ramp_pulse(136, amp), flat_pulse(1362, amp)] {
+            let z = compressor.compress(&wf).unwrap();
+            engine.decompress_into(&z, &mut decode, &mut i, &mut q).unwrap();
+            assert!(amp > 0.0 || i.iter().any(|&v| v < 0.0), "a negative pulse decodes negative");
+            fold(&i, &q);
+        }
+    }
+    (bytes.to_vec(), digest)
+}
+
+/// The child half of [`container_bytes_are_identical_across_kernel_tiers`]:
+/// when [`TIER_CHILD_OUT`] is set, writes the container followed by the
+/// decode digest there. A no-op otherwise.
+#[test]
+fn kernel_tier_child() {
+    if let Some(path) = std::env::var_os(TIER_CHILD_OUT) {
+        let (mut bytes, digest) = hex_433_container_and_decode_digest();
+        bytes.extend_from_slice(&digest.to_le_bytes());
+        std::fs::write(path, bytes).unwrap();
+    }
+}
+
+/// The container a compile writes, and the samples a fetch decodes from
+/// it, are the same bits whichever kernel tier ran: this process uses
+/// the detected tier, and a copy of this test binary re-run with
+/// `COMPAQT_FORCE_SCALAR=1` uses the scalar fallback (the tier is
+/// chosen once per process, so pinning it needs a fresh one).
+#[test]
+fn container_bytes_are_identical_across_kernel_tiers() {
+    let (here, here_digest) = hex_433_container_and_decode_digest();
+    let out = std::env::temp_dir().join(format!("compaqt-tier-child-{}.bin", std::process::id()));
+    let run = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "kernel_tier_child"])
+        .env("COMPAQT_FORCE_SCALAR", "1")
+        .env(TIER_CHILD_OUT, &out)
+        .output()
+        .unwrap();
+    assert!(run.status.success(), "the forced-scalar child failed: {run:?}");
+    let child = std::fs::read(&out).unwrap();
+    std::fs::remove_file(&out).unwrap();
+    let (scalar, digest) = child.split_at(child.len() - 8);
+    assert!(here.as_slice() == scalar, "hex-433 container bytes differ between kernel tiers");
+    assert_eq!(here_digest.to_le_bytes(), digest, "decoded samples differ between kernel tiers");
 }
 
 /// One container opened through every [`ContainerSource`] kind — owned
