@@ -212,11 +212,6 @@ fn bench_library_compile(c: &mut Criterion) {
     group.bench_function("decode_library_seq", |b| {
         b.iter(|| black_box(batch::decompress_library(black_box(&zs)).unwrap().1.output_samples))
     });
-    group.bench_function("decode_library_par", |b| {
-        b.iter(|| {
-            black_box(batch::decompress_library_par(black_box(&zs)).unwrap().1.output_samples)
-        })
-    });
     group.finish();
 }
 
@@ -302,9 +297,19 @@ fn bench_container_io(c: &mut Criterion) {
         b.iter(|| black_box(compaqt_io::write_store(black_box(&store)).unwrap().len()))
     });
     group.bench_function("reader_validate", |b| {
-        b.iter(|| black_box(compaqt_io::Reader::new(black_box(bytes.clone())).unwrap().len()))
+        b.iter(|| {
+            black_box(
+                compaqt_io::Reader::open(
+                    black_box(bytes.clone()),
+                    compaqt_io::ReaderOptions::default(),
+                )
+                .unwrap()
+                .len(),
+            )
+        })
     });
-    let reader = compaqt_io::Reader::new(bytes.clone()).unwrap();
+    let reader =
+        compaqt_io::Reader::open(bytes.clone(), compaqt_io::ReaderOptions::default()).unwrap();
     let mut scratch = compaqt_io::ContainerScratch::new();
     let (mut i, mut q) = (Vec::new(), Vec::new());
     group.throughput(Throughput::Elements(2 * wf.len() as u64));
@@ -317,10 +322,11 @@ fn bench_container_io(c: &mut Criterion) {
     group.throughput(Throughput::Elements(lib.len() as u64));
     group.bench_function("into_store", |b| {
         b.iter(|| {
-            let loaded = compaqt_io::Reader::new(bytes.clone())
-                .unwrap()
-                .into_store(Default::default())
-                .unwrap();
+            let loaded =
+                compaqt_io::Reader::open(bytes.clone(), compaqt_io::ReaderOptions::default())
+                    .unwrap()
+                    .into_store(Default::default())
+                    .unwrap();
             black_box(loaded.len())
         })
     });

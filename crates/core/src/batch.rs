@@ -1,11 +1,11 @@
-//! Parallel batch compilation and decode of whole pulse libraries.
+//! Batch compilation and decode of whole pulse libraries.
 //!
 //! A calibration cycle ends with every waveform of a 100+ qubit machine
-//! being recompressed and packed into the controller memory image
-//! (Figure 6). The per-waveform codec is embarrassingly parallel — each
-//! waveform (and within it, each I/Q channel) compresses and decodes
-//! independently — so this module fans the library out across a rayon
-//! thread pool:
+//! being recompressed and packed into the controller's container
+//! (Figure 6; the CWL container lives in `compaqt-io`). The per-waveform
+//! codec is embarrassingly parallel — each waveform compresses
+//! independently — so the compile side fans the library out across a
+//! rayon thread pool:
 //!
 //! * [`compress_waveforms`] / [`compress_library_par`] — the compile
 //!   side; `compress_library_par` is the drop-in parallel twin of
@@ -15,16 +15,12 @@
 //!   a private [`EncodeScratch`] (cached transform plans + staging), so
 //!   per-window compression work allocates nothing; only the compressed
 //!   streams each worker returns are allocated.
-//! * [`decompress_library`] / [`decompress_library_par`] — the decode
-//!   side, built on the zero-allocation engine path: workers share one
-//!   `&self` engine per variant and carry a private [`DecodeScratch`]
-//!   plus reusable output buffers (`map_init`), so each worker allocates
-//!   only the final sample vectors it returns. The parallel variant fans
-//!   out per waveform x per channel.
-//!
-//! The memory-image builders ([`crate::bitstream::compress_image`] /
-//! [`crate::bitstream::compress_image_par`]) sit on top of this module's
-//! sequential and parallel compile paths.
+//! * [`decompress_library`] — the decode side, one sequential loop over
+//!   the zero-allocation engine path: one engine per variant, one
+//!   [`DecodeScratch`] and reusable output buffers, so only the final
+//!   sample vectors are allocated. It is sequential because a
+//!   per-waveform x per-channel parallel decoder measured slower than
+//!   this loop on both a 1-vCPU and a 2-vCPU host.
 //!
 //! # `_par` on small machines: the sequential fallback
 //!
@@ -34,13 +30,7 @@
 //! single core only adds thread spawn/join overhead and per-item buffer
 //! churn on top of identical arithmetic. The fallback is observable only
 //! in timing — the codec is deterministic, so both paths produce
-//! bit-identical results (the round-trip suites assert `==`) — and it
-//! closes the regression where `decode_library_par` trailed
-//! `decode_library_seq` on the 1-vCPU CI container. When comparing
-//! `_seq` and `_par` rows of `BENCH_codec.json`, remember the committed
-//! baseline comes from that container: with the fallback both rows
-//! measure the same sequential loop there, and near-linear scaling is
-//! only observable on a box whose workers have real cores to land on.
+//! bit-identical results (the round-trip suites assert `==`).
 
 use crate::compress::{CompressedWaveform, Compressor};
 use crate::engine::{DecodeScratch, DecompressionEngine, EncodeScratch, EngineStats};
@@ -52,9 +42,7 @@ use rayon::prelude::*;
 
 /// `true` when a `_par` entry point should skip the thread fan-out and
 /// run its sequential twin instead: with a single worker, parallelism
-/// buys nothing and the spawn/join overhead is a pure regression (the
-/// 1-vCPU CI container measured `decode_library_par` *slower* than the
-/// sequential decode before this guard existed).
+/// buys nothing and the spawn/join overhead is a pure regression.
 fn fan_out_is_useless(workers: usize) -> bool {
     workers <= 1
 }
@@ -176,54 +164,6 @@ pub fn decompress_library(
     Ok((out, stats))
 }
 
-/// Parallel decode of a compressed batch with per-waveform x per-channel
-/// fan-out: every (waveform, channel) pair is an independent work item,
-/// so a two-channel library saturates twice as many workers as waveforms.
-/// Engines are shared `&self` across threads; scratch is per worker.
-/// Bit-exact with [`decompress_library`], which it becomes outright on a
-/// single-worker host (sequential fallback).
-///
-/// # Errors
-///
-/// Returns the first malformed-stream error.
-pub fn decompress_library_par(
-    compressed: &[CompressedWaveform],
-) -> Result<(Vec<Waveform>, EngineStats), CompressError> {
-    if fan_out_is_useless(rayon::current_num_threads()) {
-        return decompress_library(compressed);
-    }
-    let engines = engines_for(compressed)?;
-    let engines = &engines;
-    // Work item k decodes channel k % 2 of waveform k / 2.
-    let items: Vec<usize> = (0..2 * compressed.len()).collect();
-    let channels: Result<Vec<(Vec<f64>, EngineStats)>, CompressError> = items
-        .par_iter()
-        .map_init(DecodeScratch::new, |scratch, &k| {
-            let z = &compressed[k / 2];
-            let channel = if k % 2 == 0 { &z.i } else { &z.q };
-            let engine = engine_of(engines, z);
-            let mut out = Vec::new();
-            let mut stats = EngineStats::default();
-            engine.decode_channel_into(channel, z.n_samples, scratch, &mut out, &mut stats)?;
-            Ok((out, stats))
-        })
-        .collect();
-    let mut channels = channels?;
-    let mut stats = EngineStats::default();
-    let mut out = Vec::with_capacity(compressed.len());
-    for (z, pair) in compressed.iter().zip(channels.chunks_exact_mut(2)) {
-        stats.merge(&pair[0].1);
-        stats.merge(&pair[1].1);
-        let i = std::mem::take(&mut pair[0].0);
-        let q = std::mem::take(&mut pair[1].0);
-        // Same hostile-stream guards as the single-waveform path:
-        // per-channel decodes can diverge on corrupted input, and
-        // Waveform::new must never see them (or a bogus rate) raw.
-        out.push(crate::engine::checked_waveform(&z.name, i, q, z.sample_rate_gs)?);
-    }
-    Ok((out, stats))
-}
-
 /// Builds one shared engine per distinct variant in the batch.
 fn engines_for(
     compressed: &[CompressedWaveform],
@@ -272,22 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_decode_matches_sequential_exactly() {
-        let lib = library();
-        let c = Compressor::new(Variant::IntDctW { ws: 16 });
-        let zs: Vec<CompressedWaveform> =
-            lib.iter().map(|(_, wf)| c.compress(wf).unwrap()).collect();
-        let (seq, seq_stats) = decompress_library(&zs).unwrap();
-        let (par, par_stats) = decompress_library_par(&zs).unwrap();
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.i(), b.i());
-            assert_eq!(a.q(), b.q());
-        }
-        assert_eq!(seq_stats, par_stats);
-    }
-
-    #[test]
     fn mixed_variant_batches_decode() {
         let lib = library();
         let mut zs = Vec::new();
@@ -295,7 +219,7 @@ mod tests {
             let variant = if k % 2 == 0 { Variant::IntDctW { ws: 16 } } else { Variant::DctN };
             zs.push(Compressor::new(variant).compress(wf).unwrap());
         }
-        let (out, stats) = decompress_library_par(&zs).unwrap();
+        let (out, stats) = decompress_library(&zs).unwrap();
         assert_eq!(out.len(), zs.len());
         assert!(stats.output_samples > 0);
         for (z, wf) in zs.iter().zip(&out) {

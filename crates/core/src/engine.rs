@@ -9,33 +9,37 @@
 //! additionally accounts memory reads, engine invocations and cycles — the
 //! numbers the bandwidth-expansion and power analyses are built on.
 //!
-//! # The two decode paths and their contract
+//! # The production decoder and its reference
 //!
 //! A hardware engine has no allocator: its RLE buffer and sample buffer
-//! are fixed SRAMs. The software model mirrors that with two APIs:
+//! are fixed SRAMs. The software model has one production decoder and
+//! one reference it is proven against:
 //!
-//! * **Allocating** — [`DecompressionEngine::decompress`] /
-//!   [`DecompressionEngine::decode_channel`] return fresh `Vec`s. Simple,
-//!   `&self`, but pays one `Vec` per pipeline stage per window; this is
-//!   the historical API and the baseline the `codec_throughput` bench
-//!   measures against.
-//! * **Buffer-reuse** — [`DecompressionEngine::decompress_into`] /
+//! * **Production** — [`DecompressionEngine::decompress_into`] /
 //!   [`DecompressionEngine::decode_channel_into`] thread every stage
 //!   through a caller-owned [`DecodeScratch`] plus caller output `Vec`s.
 //!   After the first decode warms the buffers, steady-state decoding of a
 //!   whole pulse library performs **zero heap allocations per window**
-//!   (the `alloc_regression` integration test enforces this), and the
-//!   integer IDCT runs as one SoA-batched inverse per channel
+//!   (the `alloc_regression` integration test enforces this). Sparse
+//!   integer windows take the fused RLE + sparse inverse
+//!   ([`compaqt_dsp::sparse::inverse_rle_f64_into`]); dense ones run as
+//!   one SoA-batched inverse per channel
 //!   ([`compaqt_dsp::batched::BatchedIntDctPlan`]) through the
-//!   runtime-dispatched SIMD kernels, bit-identical to the per-window
-//!   reference ([`compaqt_dsp::intdct::IntDct::inverse_f64_into`]).
+//!   runtime-dispatched SIMD kernels. Every serving, container and
+//!   batch path decodes through it.
+//! * **Reference** — [`DecompressionEngine::decompress`] /
+//!   [`DecompressionEngine::decode_channel`] return fresh `Vec`s and run
+//!   each window through the per-window matrix inverse
+//!   ([`compaqt_dsp::intdct::IntDct::inverse_f64`]), the float
+//!   [`Dct`] or the full-length [`compaqt_dsp::plan::DctPlan`]. It is the
+//!   oracle the round-trip property tests compare the production path
+//!   against with `==` on every sample, and the denominator of the
+//!   `codec_throughput` bench's `decode_speedup_ws16 >= 3` gate.
 //!
-//! Both paths are bit-exact with each other — the round-trip property
-//! tests assert `==` on every sample, so figures computed through either
-//! path agree. The engine itself stays `&self` and `Sync`: all mutable
-//! state lives in the scratch, which is what lets
-//! [`crate::batch`] fan one engine out across decoder threads with one
-//! scratch per worker.
+//! Both produce the same samples and the same [`EngineStats`] cycle
+//! accounting. The engine itself stays `&self` and `Sync`: all mutable
+//! state lives in the scratch, so one engine can be shared across
+//! decoder threads with one scratch per thread.
 //!
 //! The compile direction mirrors the same architecture: [`EncodeScratch`]
 //! (defined here, consumed by [`crate::compress::Compressor::compress_into`]
@@ -364,7 +368,9 @@ impl DecompressionEngine {
     }
 
     /// Decompresses a waveform, returning the reconstruction and the
-    /// operation counts.
+    /// operation counts — the per-window reference decoder that
+    /// [`DecompressionEngine::decompress_into`] is proven against (see
+    /// the module docs).
     ///
     /// # Errors
     ///
@@ -381,7 +387,8 @@ impl DecompressionEngine {
         Ok((wf, stats))
     }
 
-    /// Decodes one channel into DAC samples, accumulating stats.
+    /// Decodes one channel into DAC samples, accumulating stats — the
+    /// reference twin of [`DecompressionEngine::decode_channel_into`].
     pub fn decode_channel(
         &self,
         channel: &ChannelData,
@@ -658,7 +665,7 @@ impl DecompressionEngine {
                 // DCT-N: O(N log N) inverse at the waveform's full length.
                 let scale = f64::from(1u32 << crate::compress::float_coeff_scale_bits(window));
                 let f: Vec<f64> = coeffs.iter().map(|&c| f64::from(c) / scale).collect();
-                compaqt_dsp::fastdct::fast_dct3(&f)
+                compaqt_dsp::plan::DctPlan::new(window).inverse(&f)
             }
         }
     }

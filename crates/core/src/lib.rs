@@ -25,10 +25,15 @@
 //!   (Figure 13).
 //! * [`stats`] — library-level compression statistics (Figures 7/11/14,
 //!   Tables VII/IX).
+//! * [`batch`] — parallel whole-library compile and the sequential
+//!   whole-library decode.
 //! * [`store`] — the serving path: a sharded concurrent compressed
 //!   waveform store with pooled decode scratch and a hot set of decoded
 //!   waveforms (runtime single-gate fetches, the deployment model of
 //!   Section IV-A).
+//!
+//! The stored and transferred form of a compressed library is the CWL
+//! container of `compaqt-io`; this crate defines the streams it holds.
 //!
 //! # Example
 //!
@@ -49,7 +54,6 @@
 
 pub mod adaptive;
 pub mod batch;
-pub mod bitstream;
 pub mod calibration;
 pub mod compress;
 pub mod engine;

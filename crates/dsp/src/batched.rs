@@ -657,8 +657,8 @@ unsafe fn forward_soa_body<B: Backend>(
 
 /// Raw batched transposed (inverse-direction) accumulators:
 /// `acc[i * batch + b] = sum_k T[k][i] * y_b[k]` from SoA coefficients
-/// `y[k * batch + b]` — the batched twin of
-/// [`IntButterflyPlan::inverse_accumulate`]. Rotator rows whose entire
+/// `y[k * batch + b]` — the factorized transpose, bit-identical to the
+/// sparse matrix inverse [`IntDct::inverse_into`]. Rotator rows whose entire
 /// batch row is zero are skipped (their contribution is exactly zero),
 /// preserving the sparse-stream advantage across the batch.
 ///

@@ -373,36 +373,6 @@ impl IntDct {
         }
     }
 
-    /// Inverse transform through the *factorized* transposed flowgraph —
-    /// bit-identical to [`IntDct::inverse_into`] (both compute the exact
-    /// transposed-matrix accumulator; only the addition order differs).
-    ///
-    /// The default decode path keeps the sparse column-skipping matrix
-    /// kernel, which wins on the thresholded 2-3-nonzero windows real
-    /// streams carry; this entry point serves dense-coefficient
-    /// workloads, where the butterfly's reduced multiply count wins, and
-    /// anchors the equivalence suite's round-trip composition tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len()` or `out.len()` differs from the transform size.
-    pub fn inverse_butterfly_into(&self, y: &[i32], out: &mut [Q15]) {
-        let Some(bf) = &self.butterfly else {
-            self.inverse_into(y, out);
-            return;
-        };
-        assert_eq!(y.len(), self.n, "coefficient count must match transform size");
-        assert_eq!(out.len(), self.n, "output length must match transform size");
-        let mut acc = [0i64; 64];
-        bf.inverse_accumulate(y, &mut acc[..self.n]);
-        let shift = self.inverse_shift();
-        let rnd = 1i64 << (shift - 1);
-        for (o, &a) in out.iter_mut().zip(acc.iter()) {
-            let v = (a + rnd) >> shift;
-            *o = Q15::from_raw(v.clamp(i64::from(i16::MIN), i64::from(i16::MAX)) as i16);
-        }
-    }
-
     /// Fused dequantize + inverse + Q1.15-to-`f64`, allocation-free: the
     /// stored coefficients are shifted left by `pre_shift` (undoing a
     /// storage quantization such as the codec's 2-bit headroom shift)
@@ -521,27 +491,6 @@ mod tests {
                 t.forward_matrix_into(x, &mut oracle);
                 assert_eq!(fast, oracle, "n={n}");
             }
-        }
-    }
-
-    #[test]
-    fn inverse_butterfly_matches_sparse_matrix_inverse() {
-        for n in SUPPORTED_SIZES {
-            let t = IntDct::new(n).unwrap();
-            let y: Vec<i32> = (0..n)
-                .map(|k| match k % 5 {
-                    0 => i32::from(i16::MAX),
-                    1 => 0,
-                    2 => i32::from(i16::MIN),
-                    3 => -12345,
-                    _ => 777,
-                })
-                .collect();
-            let mut a = vec![Q15::ZERO; n];
-            let mut b = vec![Q15::ZERO; n];
-            t.inverse_into(&y, &mut a);
-            t.inverse_butterfly_into(&y, &mut b);
-            assert_eq!(a, b, "n={n}");
         }
     }
 

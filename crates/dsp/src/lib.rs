@@ -20,7 +20,9 @@
 //!   4/8/16/32/64 (64 is the VVC-style extension whose even rows are
 //!   exactly the normative 32-point matrix), multiplierless when lowered
 //!   through [`csd`]. The forward defaults to the factorized butterfly
-//!   kernel, bit-exact with the dense matrix oracle it keeps alongside.
+//!   kernel, bit-exact with the dense matrix oracle it keeps alongside;
+//!   the sparse matrix inverse is the oracle for the batched factorized
+//!   inverse.
 //! * [`csd`] — canonical-signed-digit decomposition used to replace constant
 //!   multipliers with shift-and-add networks, plus the resource-count model
 //!   behind Table IV.
@@ -30,8 +32,8 @@
 //! * [`threshold`] — magnitude thresholding of transform coefficients.
 //! * [`metrics`] — MSE / PSNR / compression-ratio measurements.
 //! * [`window`] — splitting waveforms into fixed-size transform windows.
-//! * [`plan`] — reusable transform plans ([`plan::DctPlan`],
-//!   [`plan::IntDctPlan`]) with caller-provided output buffers, plus the
+//! * [`plan`] — the reusable fast-DCT plan ([`plan::DctPlan`], the one
+//!   `DCT-N` kernel) with caller-provided output buffers, plus the
 //!   bounded keyed [`plan::DctPlanCache`] for mixed-length workloads.
 //! * [`batched`] — structure-of-arrays batch transforms
 //!   ([`batched::BatchedIntDctPlan`], [`batched::BatchedDct`]) that
@@ -46,7 +48,7 @@
 //!
 //! * **Allocating** (`forward`, `inverse`, `decode_window`, ...) —
 //!   returns a fresh `Vec` per call. Convenient for analysis code and
-//!   tests; this is the historical API and its numerics are frozen.
+//!   tests; its numerics are frozen.
 //! * **Buffer-reuse** (`forward_into(&input, &mut out)`,
 //!   `inverse_into`, `decode_window_into`, ...) — writes into a
 //!   caller-provided buffer whose length must equal the transform/window
@@ -85,7 +87,6 @@
 pub mod batched;
 pub mod csd;
 pub mod dct;
-pub mod fastdct;
 pub mod fixed;
 pub mod intdct;
 pub mod loeffler;
@@ -100,5 +101,5 @@ pub use batched::{BatchedDct, BatchedIntDctPlan, KernelTier};
 pub use dct::{dct2, dct3, Dct};
 pub use fixed::Q15;
 pub use intdct::IntDct;
-pub use plan::{DctPlan, IntDctPlan};
+pub use plan::DctPlan;
 pub use rle::{RleCodeword, RleDecoder, RleEncoder};

@@ -181,12 +181,12 @@ pub const MAX_BUTTERFLY_LEN: usize = 64;
 ///
 /// [`IntButterflyPlan::forward_accumulate`] computes *exactly*
 /// `out[k] = sum_i T[k][i] * x[i]` for the matrix `T` the plan was built
-/// from, and [`IntButterflyPlan::inverse_accumulate`] exactly
-/// `out[i] = sum_k T[k][i] * y[k]` — the factorization only reorders
-/// integer additions, which are associative, so both directions are
-/// bit-identical to the dense matrix multiply (the
-/// `transform_equivalence` suite proptests this against the matrix
-/// oracle for every supported window size). The uniform flowgraph scale
+/// from, and the batched SoA inverse in [`crate::batched`] replays the
+/// transposed flowgraph to get exactly `out[i] = sum_k T[k][i] * y[k]` —
+/// the factorization only reorders integer additions, which are
+/// associative, so both directions are bit-identical to the dense
+/// matrix multiply (the `transform_equivalence` suite proptests this
+/// against the matrix oracle for every supported window size). The uniform flowgraph scale
 /// therefore stays folded wherever the matrix's scale already lives:
 /// the caller's `forward_shift`/quantization constants are untouched.
 ///
@@ -391,52 +391,6 @@ impl IntButterflyPlan {
         }
         out[0] = self.dc * buf[0];
     }
-
-    /// Transposed (inverse-direction) factorized transform:
-    /// `out[i] = sum_k T[k][i] * y[k]`, exactly — the reversed flowgraph
-    /// with negated-rotation semantics absorbed by the transpose.
-    ///
-    /// Accumulation is `i64`, matching the dense inverse oracle for
-    /// arbitrary `i32` coefficients (hostile streams included); zero
-    /// coefficients skip their rotator bank rows, so thresholded windows
-    /// stay cheap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len()` or `out.len()` differs from the plan length.
-    pub fn inverse_accumulate(&self, y: &[i32], out: &mut [i64]) {
-        assert_eq!(y.len(), self.n, "input length must match plan length");
-        assert_eq!(out.len(), self.n, "output length must match plan length");
-        let mut buf = [0i64; MAX_BUTTERFLY_LEN];
-        buf[0] = i64::from(self.dc) * i64::from(y[0]);
-        let mut len = 2usize;
-        while len <= self.n {
-            let half = len / 2;
-            let level = self.level_off.len() - len.trailing_zeros() as usize;
-            let step = self.n / len;
-            let rows = &self.odd[self.level_off[level]..self.level_off[level] + half * half];
-            let mut odd = [0i64; MAX_BUTTERFLY_LEN / 2];
-            let odd = &mut odd[..half];
-            for (k, row) in rows.chunks_exact(half).enumerate() {
-                let v = y[step * (2 * k + 1)];
-                if v == 0 {
-                    continue;
-                }
-                let v = i64::from(v);
-                for (o, &t) in odd.iter_mut().zip(row) {
-                    *o += i64::from(t) * v;
-                }
-            }
-            // Transposed butterflies: expand the even half outward.
-            for (i, &o) in odd.iter().enumerate() {
-                let e = buf[i];
-                buf[i] = e + o;
-                buf[len - 1 - i] = e - o;
-            }
-            len *= 2;
-        }
-        out.copy_from_slice(&buf[..self.n]);
-    }
 }
 
 #[cfg(test)]
@@ -530,7 +484,7 @@ mod tests {
     }
 
     #[test]
-    fn butterfly_matches_dense_multiply_both_directions() {
+    fn butterfly_matches_dense_multiply() {
         for n in [1usize, 2, 4, 8, 16, 32, 64] {
             let m = scaled_cos_matrix(n, 181.0);
             let plan = IntButterflyPlan::from_matrix(n, &m)
@@ -542,13 +496,6 @@ mod tests {
             for k in 0..n {
                 let dense: i64 = (0..n).map(|i| i64::from(m[k * n + i]) * i64::from(x[i])).sum();
                 assert_eq!(i64::from(fwd[k]), dense, "n={n} forward k={k}");
-            }
-            let y: Vec<i32> = (0..n).map(|_| xorshift(&mut state)).collect();
-            let mut inv = vec![0i64; n];
-            plan.inverse_accumulate(&y, &mut inv);
-            for i in 0..n {
-                let dense: i64 = (0..n).map(|k| i64::from(m[k * n + i]) * i64::from(y[k])).sum();
-                assert_eq!(inv[i], dense, "n={n} inverse i={i}");
             }
         }
     }

@@ -11,14 +11,12 @@
 //!   the base-case cosine basis once; `forward_into`/`inverse_into` then
 //!   run an iterative, in-place kernel over one internal scratch buffer —
 //!   zero heap allocations per transform.
-//! * [`IntDctPlan`] — the windowed HEVC integer transform. The matrix is
-//!   already precomputed by [`IntDct`]; the plan adds the `_into` entry
-//!   points (including the sparse, dequantizing inverse the decompression
-//!   engine uses) under the same naming scheme.
 //!
-//! The original allocating APIs ([`crate::fastdct::fast_dct2`],
-//! [`IntDct::forward`], ...) remain as thin wrappers, so existing callers
-//! and tests keep working bit-exactly.
+//! The windowed HEVC integer transform needs no plan: [`crate::intdct::IntDct`]
+//! precomputes its matrix and butterfly at construction and exposes the
+//! same `_into` entry points directly. [`DctPlan::forward`] /
+//! [`DctPlan::inverse`] are the allocating wrappers over the `_into`
+//! kernels.
 //!
 //! For workloads that mix transform *lengths* — a pulse library whose
 //! `DCT-N` waveforms span many durations — [`DctPlanCache`] keeps a small
@@ -41,8 +39,6 @@
 //! }
 //! ```
 
-use crate::fixed::Q15;
-use crate::intdct::{IntDct, UnsupportedSizeError};
 use std::f64::consts::PI;
 
 /// A reusable fast-DCT plan for one transform length.
@@ -381,119 +377,6 @@ impl Default for DctPlanCache {
     }
 }
 
-/// A reusable plan for the windowed HEVC integer transform.
-///
-/// [`IntDct`] already precomputes its basis matrix *and* its factorized
-/// Loeffler-style butterfly kernel; this wrapper exposes the
-/// buffer-reuse entry points under the plan naming scheme, including
-/// the fused sparse inverse ([`IntDctPlan::inverse_f64_into`]) that the
-/// decompression engine's zero-allocation path is built on. All methods
-/// take `&self`: the integer kernels need no scratch (butterfly
-/// intermediates live on the stack), so one plan can be shared across
-/// threads.
-///
-/// # Kernel selection
-///
-/// [`IntDctPlan::forward_into`] runs the factorized butterfly whenever
-/// the matrix supports it — every built-in window size does — and falls
-/// back to the dense matrix multiply otherwise
-/// ([`IntDctPlan::uses_factorized_forward`] reports which). Both kernels
-/// are bit-identical, and [`IntDctPlan::forward_matrix_into`] keeps the
-/// dense path callable as the oracle, so the selection is purely a
-/// throughput decision: encode loops get ~3x fewer multiplies per
-/// window with unchanged streams. The inverse default stays the sparse
-/// column-skipping matrix kernel (thresholded decode windows carry only
-/// a few nonzero coefficients); see
-/// [`IntDct::inverse_butterfly_into`][crate::intdct::IntDct::inverse_butterfly_into]
-/// for the factorized transpose.
-///
-/// # Example: one plan, caller-owned buffers
-///
-/// ```
-/// use compaqt_dsp::fixed::Q15;
-/// use compaqt_dsp::plan::IntDctPlan;
-///
-/// let plan = IntDctPlan::new(16)?;
-/// let mut coeffs = vec![0i32; 16];
-/// let mut back = vec![Q15::ZERO; 16];
-/// for step in 0..50 {
-///     let x: Vec<Q15> = (0..16)
-///         .map(|i| Q15::from_f64(0.5 * ((i + step) as f64 * 0.2).sin()))
-///         .collect();
-///     // Transform round trip with zero allocations per iteration.
-///     plan.forward_into(&x, &mut coeffs);
-///     plan.inverse_into(&coeffs, &mut back);
-/// }
-/// # Ok::<(), compaqt_dsp::intdct::UnsupportedSizeError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct IntDctPlan {
-    transform: IntDct,
-}
-
-impl IntDctPlan {
-    /// Plans an N-point integer transform (N in 4/8/16/32/64).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnsupportedSizeError`] for other sizes.
-    pub fn new(n: usize) -> Result<Self, UnsupportedSizeError> {
-        Ok(IntDctPlan { transform: IntDct::new(n)? })
-    }
-
-    /// Wraps an existing transform.
-    pub fn from_transform(transform: IntDct) -> Self {
-        IntDctPlan { transform }
-    }
-
-    /// The underlying transform tables.
-    pub fn transform(&self) -> &IntDct {
-        &self.transform
-    }
-
-    /// The planned window size.
-    pub fn len(&self) -> usize {
-        self.transform.len()
-    }
-
-    /// Always `false`; the transform length is at least 4.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Forward transform into a caller buffer; see [`IntDct::forward_into`].
-    /// Runs the factorized butterfly kernel (matrix fallback otherwise).
-    pub fn forward_into(&self, x: &[Q15], out: &mut [i32]) {
-        self.transform.forward_into(x, out);
-    }
-
-    /// The dense matrix-multiply forward oracle; see
-    /// [`IntDct::forward_matrix_into`]. Bit-identical to
-    /// [`IntDctPlan::forward_into`] — kept callable so equivalence
-    /// suites (and any caller wanting the reference arithmetic) can
-    /// cross-check the factorized kernel.
-    pub fn forward_matrix_into(&self, x: &[Q15], out: &mut [i32]) {
-        self.transform.forward_matrix_into(x, out);
-    }
-
-    /// Whether [`IntDctPlan::forward_into`] is running the factorized
-    /// butterfly kernel (`true` for every built-in window size).
-    pub fn uses_factorized_forward(&self) -> bool {
-        self.transform.uses_factorized_forward()
-    }
-
-    /// Inverse transform into a caller buffer; see [`IntDct::inverse_into`].
-    pub fn inverse_into(&self, y: &[i32], out: &mut [Q15]) {
-        self.transform.inverse_into(y, out);
-    }
-
-    /// Dequantizing sparse inverse straight to `f64` DAC samples; see
-    /// [`IntDct::inverse_f64_into`].
-    pub fn inverse_f64_into(&self, y: &[i32], pre_shift: u32, out: &mut [f64]) {
-        self.transform.inverse_f64_into(y, pre_shift, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,43 +430,6 @@ mod tests {
         let y = p1.forward(&[0.5]);
         assert!((y[0] - 0.5).abs() < 1e-15);
         assert_eq!(p1.len(), 1);
-    }
-
-    #[test]
-    fn int_plan_round_trips_like_transform() {
-        for ws in crate::intdct::SUPPORTED_SIZES {
-            let plan = IntDctPlan::new(ws).unwrap();
-            let x: Vec<Q15> = (0..ws)
-                .map(|i| Q15::from_f64(0.6 * (std::f64::consts::PI * i as f64 / ws as f64).sin()))
-                .collect();
-            let mut coeffs = vec![0i32; ws];
-            plan.forward_into(&x, &mut coeffs);
-            assert_eq!(coeffs, plan.transform().forward(&x));
-            let mut back = vec![Q15::ZERO; ws];
-            plan.inverse_into(&coeffs, &mut back);
-            assert_eq!(back, plan.transform().inverse(&coeffs));
-        }
-    }
-
-    #[test]
-    fn int_plan_rejects_unsupported_sizes() {
-        assert!(IntDctPlan::new(12).is_err());
-        assert!(IntDctPlan::new(128).is_err());
-    }
-
-    #[test]
-    fn int_plan_selects_factorized_forward_with_matrix_oracle_agreement() {
-        for ws in crate::intdct::SUPPORTED_SIZES {
-            let plan = IntDctPlan::new(ws).unwrap();
-            assert!(plan.uses_factorized_forward(), "ws={ws}");
-            let x: Vec<Q15> =
-                (0..ws).map(|i| Q15::from_f64(((i * 7) as f64 * 0.13).sin() * 0.9)).collect();
-            let mut fast = vec![0i32; ws];
-            let mut oracle = vec![0i32; ws];
-            plan.forward_into(&x, &mut fast);
-            plan.forward_matrix_into(&x, &mut oracle);
-            assert_eq!(fast, oracle, "ws={ws}: kernels must be bit-identical");
-        }
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //!
 //! The paper's deployment model ends with the host shipping the
 //! compressed library into controller memory (Figure 6). The in-process
-//! side of that flow lives in `compaqt-core` ([`Store`](compaqt_core::store::Store) serves
-//! single-gate fetches; `bitstream` emits a flat record-stream memory
-//! image). This crate adds the missing piece for *distribution*: a
+//! side of that flow lives in `compaqt-core`
+//! ([`Store`](compaqt_core::store::Store) serves single-gate fetches).
+//! This crate holds the one stored format for that hand-off: a
 //! random-access container a serving process can load mmap-style — one
 //! backing buffer, a validated per-gate index, payload bytes borrowed
 //! (never copied) until the moment they are decoded.
@@ -33,8 +33,8 @@
 //! [`OverlapCompressed`](compaqt_core::overlap::OverlapCompressed)
 //! lapped stream, or an
 //! [`AdaptiveCompressed`](compaqt_core::adaptive::AdaptiveCompressed)
-//! segment list — in the same channel encoding the controller memory
-//! image uses, with its CRC-32 recorded in the index.
+//! segment list — channels stored as packed 16-bit window words (or
+//! delta / raw samples), with its CRC-32 recorded in the index.
 //!
 //! # The validate-then-borrow contract
 //!
@@ -47,8 +47,8 @@
 //! also proves uniqueness), offset contiguity (which also proves
 //! bounds and non-overlap), and decodability of every declared
 //! variant. Per-entry payload CRC-32 verification is eager by default
-//! ([`ValidationMode::Eager`], the historical [`Reader::new`]
-//! behaviour) or deferred to first touch with a cached per-entry
+//! ([`ValidationMode::Eager`], `ReaderOptions::default()`) or deferred
+//! to first touch with a cached per-entry
 //! verdict ([`ValidationMode::LazyCrc`]), which makes opening a
 //! larger-than-RAM mapped library O(index) instead of O(payload). A
 //! container that survives construction can then
@@ -67,7 +67,7 @@
 //! ```
 //! use compaqt_core::compress::{Compressor, Variant};
 //! use compaqt_core::store::StoreConfig;
-//! use compaqt_io::{write_library, Reader};
+//! use compaqt_io::{write_library, Reader, ReaderOptions};
 //! use compaqt_pulse::device::Device;
 //! use compaqt_pulse::vendor::Vendor;
 //!
@@ -78,7 +78,7 @@
 //! let bytes = write_library(&lib, &compressor)?;
 //!
 //! // Controller side: validate once, then serve with zero copies.
-//! let reader = Reader::new(bytes)?;
+//! let reader = Reader::open(bytes, ReaderOptions::default())?;
 //! assert_eq!(reader.len(), lib.len());
 //! let store = reader.into_store(StoreConfig::default())?;
 //! let (gate, wf) = lib.iter().next().unwrap();
@@ -106,8 +106,8 @@ pub use format::PayloadKind;
 pub use reader::{ContainerScratch, Entry, FromContainer, Reader, StreamPayload};
 pub use scenario::{run_device, run_fleet, ScenarioError, ScenarioRow, ScenarioVariant};
 pub use serve::{
-    serve, serve_source, serve_with, Client, ClientConfig, Responder, ServeConfig, ServeError,
-    ServeObs, ServeStats, ServerHandle,
+    serve, serve_source, Client, ClientConfig, Responder, ServeConfig, ServeError, ServeObs,
+    ServeStats, ServerHandle,
 };
 pub use source::{ContainerSource, ReaderOptions, ValidationMode};
 pub use wire::{ErrorCode, FrameKind, LibraryDigest, ProtocolError};

@@ -7,8 +7,8 @@
 //! described in the [crate docs](crate): header, section sizes,
 //! sorted/contiguous index, decodable variants, **before any payload
 //! is parsed**. Payload CRC-32 verification is governed by
-//! [`ReaderOptions`]: [`ValidationMode::Eager`] (the default, and the
-//! historical [`Reader::new`] behaviour) sweeps every payload at open;
+//! [`ReaderOptions`]: [`ValidationMode::Eager`] (the default) sweeps
+//! every payload at open;
 //! [`ValidationMode::LazyCrc`] defers each entry's check to first
 //! touch and caches the verdict in an atomic bitmap, so opening a
 //! larger-than-RAM mapped library costs O(index), not O(payload).
@@ -135,8 +135,7 @@ impl ContainerScratch {
 ///
 /// The lifetime `'src` is the borrow of a
 /// [`ContainerSource::Borrowed`] region; owned and mapped sources
-/// yield `Reader<'static>`, which is what the legacy constructors
-/// ([`Reader::new`], [`Reader::from_vec`]) return.
+/// yield `Reader<'static>`.
 pub struct Reader<'src> {
     source: ContainerSource<'src>,
     /// Byte offset of the payload section in the source.
@@ -176,30 +175,6 @@ impl fmt::Debug for Reader<'_> {
             .field("validation", &self.validation)
             .field("sample_rate_gs", &self.sample_rate_gs)
             .finish_non_exhaustive()
-    }
-}
-
-impl Reader<'static> {
-    /// Validates a container over an owned buffer with the default
-    /// (eager) options — equivalent to
-    /// `Reader::open(data, ReaderOptions::default())`, kept as the
-    /// stable entry point for resident containers.
-    ///
-    /// # Errors
-    ///
-    /// A typed [`ContainerError`] naming the first violation — never a
-    /// panic, and never an allocation sized from an unverified claim.
-    pub fn new(data: Bytes) -> Result<Reader<'static>, ContainerError> {
-        Reader::open(data, ReaderOptions::default())
-    }
-
-    /// [`Reader::new`] over an owned byte vector.
-    ///
-    /// # Errors
-    ///
-    /// As [`Reader::new`].
-    pub fn from_vec(data: Vec<u8>) -> Result<Reader<'static>, ContainerError> {
-        Reader::new(Bytes::from(data))
     }
 }
 
@@ -824,7 +799,7 @@ mod tests {
     fn round_trips_every_entry_bit_exactly() {
         let lib = library();
         let compressor = Compressor::new(Variant::IntDctW { ws: 16 });
-        let reader = Reader::new(container()).unwrap();
+        let reader = Reader::open(container(), ReaderOptions::default()).unwrap();
         assert_eq!(reader.len(), lib.len());
         assert_eq!(reader.sample_rate_gs(), lib.uniform_sample_rate_gs());
         for (gate, wf) in lib.iter() {
@@ -861,7 +836,7 @@ mod tests {
     fn fetch_into_matches_the_engine_decode() {
         let lib = library();
         let compressor = Compressor::new(Variant::IntDctW { ws: 16 });
-        let reader = Reader::new(container()).unwrap();
+        let reader = Reader::open(container(), ReaderOptions::default()).unwrap();
         let engine = DecompressionEngine::for_variant(compressor.variant()).unwrap();
         let mut scratch = ContainerScratch::new();
         let (mut i, mut q) = (Vec::new(), Vec::new());
@@ -878,7 +853,7 @@ mod tests {
     #[test]
     fn store_bridges_serve_the_same_samples() {
         let lib = library();
-        let reader = Reader::new(container()).unwrap();
+        let reader = Reader::open(container(), ReaderOptions::default()).unwrap();
         let via_trait = Store::from_reader(&reader, StoreConfig::default()).unwrap();
         let store = reader.into_store(StoreConfig::default()).unwrap();
         assert_eq!(store.len(), lib.len());
@@ -906,7 +881,7 @@ mod tests {
         let g_adaptive = GateId::pair(GateKind::Cx, 0, 1);
         writer.add_overlap(&g_overlap, &lapped).unwrap();
         writer.add_adaptive(&g_adaptive, &adaptive).unwrap();
-        let reader = Reader::new(writer.finish().unwrap()).unwrap();
+        let reader = Reader::open(writer.finish().unwrap(), ReaderOptions::default()).unwrap();
 
         let entry = reader.find(&g_overlap).unwrap();
         assert_eq!(entry.kind(), PayloadKind::Overlap);
@@ -944,13 +919,13 @@ mod tests {
         let mut writer = Writer::new();
         writer.add(&GateId::single(GateKind::X, 0), &c.compress(&a).unwrap()).unwrap();
         writer.add(&GateId::single(GateKind::X, 1), &c.compress(&b).unwrap()).unwrap();
-        let reader = Reader::new(writer.finish().unwrap()).unwrap();
+        let reader = Reader::open(writer.finish().unwrap(), ReaderOptions::default()).unwrap();
         assert_eq!(reader.sample_rate_gs(), None);
     }
 
     #[test]
     fn unknown_gates_and_empty_containers() {
-        let reader = Reader::new(container()).unwrap();
+        let reader = Reader::open(container(), ReaderOptions::default()).unwrap();
         let missing = GateId::single(GateKind::Measure, 99);
         assert!(reader.find(&missing).is_none());
         let mut scratch = ContainerScratch::new();
@@ -958,7 +933,8 @@ mod tests {
             reader.fetch_into(&missing, &mut scratch, &mut Vec::new(), &mut Vec::new()),
             Err(ContainerError::UnknownGate(_))
         ));
-        let empty = Reader::new(Writer::new().finish().unwrap()).unwrap();
+        let empty =
+            Reader::open(Writer::new().finish().unwrap(), ReaderOptions::default()).unwrap();
         assert!(empty.is_empty());
         assert_eq!(empty.sample_rate_gs(), None);
         assert!(empty.into_store(StoreConfig::default()).unwrap().is_empty());
@@ -981,26 +957,38 @@ mod tests {
         // Magic.
         let mut bad = bytes.clone();
         bad[0] ^= 0xFF;
-        assert_eq!(Reader::from_vec(bad).unwrap_err(), ContainerError::BadMagic);
+        assert_eq!(
+            Reader::open(bad, ReaderOptions::default()).unwrap_err(),
+            ContainerError::BadMagic
+        );
         // Version skew.
         let mut bad = bytes.clone();
         bad[4] = 9;
-        assert_eq!(Reader::from_vec(bad).unwrap_err(), ContainerError::VersionSkew { found: 9 });
+        assert_eq!(
+            Reader::open(bad, ReaderOptions::default()).unwrap_err(),
+            ContainerError::VersionSkew { found: 9 }
+        );
         // Reserved bits.
         let mut bad = bytes.clone();
         bad[6] = 1;
-        assert!(matches!(Reader::from_vec(bad).unwrap_err(), ContainerError::IndexInvalid(_)));
+        assert!(matches!(
+            Reader::open(bad, ReaderOptions::default()).unwrap_err(),
+            ContainerError::IndexInvalid(_)
+        ));
         // Trailing garbage.
         let mut bad = bytes.clone();
         bad.push(0);
-        assert!(matches!(Reader::from_vec(bad).unwrap_err(), ContainerError::IndexInvalid(_)));
+        assert!(matches!(
+            Reader::open(bad, ReaderOptions::default()).unwrap_err(),
+            ContainerError::IndexInvalid(_)
+        ));
     }
 
     #[test]
     fn every_truncation_is_an_error_never_a_panic() {
         let bytes = container().to_vec();
         for cut in 0..bytes.len() {
-            let err = Reader::from_vec(bytes[..cut].to_vec())
+            let err = Reader::open(bytes[..cut].to_vec(), ReaderOptions::default())
                 .expect_err("a truncated container must not validate");
             assert!(
                 matches!(
@@ -1021,6 +1009,9 @@ mod tests {
         let mut bad = clean.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0x10;
-        assert!(matches!(Reader::from_vec(bad).unwrap_err(), ContainerError::CrcMismatch { .. }));
+        assert!(matches!(
+            Reader::open(bad, ReaderOptions::default()).unwrap_err(),
+            ContainerError::CrcMismatch { .. }
+        ));
     }
 }

@@ -278,7 +278,7 @@ fn run_plain(
     let container_bytes = bytes.len();
 
     // Path 1: container random-access decode.
-    let reader = Reader::new(bytes.clone())?;
+    let reader = Reader::open(bytes.clone(), ReaderOptions::default())?;
     let mut cscratch = ContainerScratch::new();
     let (mut i_buf, mut q_buf) = (Vec::new(), Vec::new());
     for (gate, ri, rq) in &reference {
@@ -354,7 +354,7 @@ fn run_overlap(
         staged.push((gate.clone(), z, decoded));
     }
     let bytes = writer.finish()?;
-    let reader = Reader::new(bytes.clone())?;
+    let reader = Reader::open(bytes.clone(), ReaderOptions::default())?;
     for (gate, z, decoded) in &staged {
         let entry = reader.find(gate).ok_or_else(|| ContainerError::UnknownGate(gate.clone()))?;
         let StreamPayload::Overlap(parsed) = entry.read()? else {
@@ -423,7 +423,7 @@ fn run_adaptive(
         staged.push((gate.clone(), z, decoded));
     }
     let bytes = writer.finish()?;
-    let reader = Reader::new(bytes.clone())?;
+    let reader = Reader::open(bytes.clone(), ReaderOptions::default())?;
     let mut adaptive_entries = 0usize;
     for (gate, z, decoded) in &staged {
         let entry = reader.find(gate).ok_or_else(|| ContainerError::UnknownGate(gate.clone()))?;

@@ -95,6 +95,8 @@ pub struct ServeConfig {
     pub max_connections: usize,
     /// Per-connection read timeout (zero = wait forever). An idle or
     /// stalled client is disconnected when it fires, freeing its slot.
+    /// It also bounds each request frame once its first byte lands: a
+    /// client trickling a frame is disconnected within twice this.
     pub read_timeout: Duration,
     /// Per-connection write timeout (zero = wait forever); bounds how
     /// long a slow-draining client can pin a server thread.
@@ -145,8 +147,9 @@ pub struct ServeStats {
     /// Frames rejected as hostile or damaged ([`ProtocolError`]s).
     pub protocol_errors: u64,
     /// Connections dropped by a read/write timeout firing (the
-    /// transport reported `TimedOut` / `WouldBlock`; other I/O failures
-    /// — resets, broken pipes — are not timeouts and are not counted).
+    /// transport reported `TimedOut` / `WouldBlock`, or a request frame
+    /// outlived the read timeout; other I/O failures — resets, broken
+    /// pipes — are not timeouts and are not counted).
     pub timeouts: u64,
 }
 
@@ -688,21 +691,9 @@ pub fn serve(store: Arc<Store>, addr: impl ToSocketAddrs) -> std::io::Result<Ser
     serve_source(store, addr, ServeConfig::default())
 }
 
-/// [`serve`] with explicit sizing, timeout and cap knobs.
-///
-/// # Errors
-///
-/// Any bind failure.
-pub fn serve_with(
-    store: Arc<Store>,
-    addr: impl ToSocketAddrs,
-    config: ServeConfig,
-) -> std::io::Result<ServerHandle> {
-    serve_source(store, addr, config)
-}
-
-/// Binds and starts a server over any shared [`FetchSource`] — the
-/// source-generic entry point behind [`serve`] / [`serve_with`].
+/// Binds and starts a server over any shared [`FetchSource`] with
+/// explicit sizing, timeout and cap knobs — the entry point behind
+/// [`serve`].
 ///
 /// This is the larger-than-RAM deployment path: hand it an
 /// `Arc<Reader<'static>>` opened with
@@ -847,7 +838,12 @@ fn serve_conn<S: FetchSource + ?Sized>(
     obs.connections.add(1);
     obs.ring.push(TraceKind::ConnOpen, obs.connections.get(), 0);
     while !shutdown.load(Ordering::Acquire) {
-        match crate::wire::read_frame(&mut stream, &mut read_buf, config.max_frame_bytes) {
+        match crate::wire::read_frame(
+            &mut stream,
+            &mut read_buf,
+            config.max_frame_bytes,
+            config.read_timeout,
+        ) {
             Ok(FrameRead::Eof) => break,
             Ok(FrameRead::Frame(kind)) => {
                 let payload = &read_buf[FRAME_HEADER_BYTES..read_buf.len() - FRAME_TRAILER_BYTES];
@@ -993,6 +989,9 @@ impl Client {
             &mut self.stream,
             &mut self.read_buf,
             self.max_frame_bytes,
+            // Responses may be large; the socket's per-read timeout is
+            // the client's only bound.
+            Duration::ZERO,
         )? {
             FrameRead::Frame(kind) => kind,
             FrameRead::Eof => {

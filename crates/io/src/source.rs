@@ -4,8 +4,8 @@
 //! dictate the API. [`ContainerSource`] abstracts the three homes a
 //! library realistically has on a control processor:
 //!
-//! - **Owned** — an [`Bytes`] buffer the reader keeps alive (the
-//!   classic [`Reader::new`] path; network fetches, embedded blobs).
+//! - **Owned** — an [`Bytes`] buffer (or a `Vec<u8>`) the reader keeps
+//!   alive (network fetches, embedded blobs, freshly written containers).
 //! - **Borrowed** — a caller-managed `&[u8]` region (arena slices,
 //!   `include_bytes!`, a buffer another subsystem owns). The reader
 //!   borrows it for `'src` and copies nothing.
@@ -21,7 +21,6 @@
 //! per entry, caching each verdict in an atomic bitmap.
 //!
 //! [`Reader::open`]: crate::Reader::open
-//! [`Reader::new`]: crate::Reader::new
 
 use bytes::Bytes;
 use memmap2::Mmap;
@@ -44,6 +43,17 @@ impl ContainerSource<'_> {
     ///
     /// The resulting source is `'static`: the mapping owns its pages.
     ///
+    /// # Truncation hazard
+    ///
+    /// The mapping reads the file's pages on demand, so the file must
+    /// not shrink while a [`Reader`](crate::Reader) serves from it:
+    /// truncating a mapped container raises `SIGBUS` on the next touched
+    /// page past the new end, which kills the process. To update a
+    /// served library, write the new container to a fresh file and
+    /// `rename` it over the old path: the rename swaps the directory
+    /// entry, the existing mapping keeps the old inode alive and
+    /// unchanged, and the next `map_path` picks up the new file.
+    ///
     /// # Errors
     ///
     /// Any `open(2)` / `mmap(2)` failure, as [`std::io::Error`] —
@@ -52,9 +62,9 @@ impl ContainerSource<'_> {
     /// [`ContainerError`](crate::ContainerError)s.
     pub fn map_path(path: impl AsRef<Path>) -> std::io::Result<ContainerSource<'static>> {
         let file = File::open(path)?;
-        // Safety: the map is read-only and private; compaqt's contract
-        // (documented on `Mmap::map`) requires the caller not to
-        // truncate a container file while a reader serves from it.
+        // SAFETY: the map is read-only and private; the caller must not
+        // truncate the file while it is mapped (the truncation hazard
+        // documented above).
         let map = unsafe { Mmap::map(&file)? };
         Ok(ContainerSource::Mapped(map))
     }
@@ -135,12 +145,10 @@ impl From<Mmap> for ContainerSource<'static> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ValidationMode {
     /// Verify every payload's CRC-32 during [`Reader::open`] — open is
-    /// O(container), exactly the historical [`Reader::new`] behaviour,
-    /// and a reader that constructs can never report
+    /// O(container), and a reader that constructs can never report
     /// [`CrcMismatch`](crate::ContainerError::CrcMismatch) later.
     ///
     /// [`Reader::open`]: crate::Reader::open
-    /// [`Reader::new`]: crate::Reader::new
     #[default]
     Eager,
     /// Defer each payload's CRC-32 to its first access — open is
@@ -159,7 +167,7 @@ pub enum ValidationMode {
 ///
 /// Construct with the builder-style helpers (the struct is
 /// `#[non_exhaustive]` so future knobs can land without breakage); the
-/// `Default` is bit-for-bit the historical `Reader::new` behaviour.
+/// `Default` is [`ValidationMode::Eager`].
 ///
 /// ```
 /// use compaqt_io::{ReaderOptions, ValidationMode};

@@ -62,6 +62,7 @@ use compaqt_obs::{HistogramSnapshot, Sample, Snapshot, TraceEvent, TraceKind, Va
 use compaqt_pulse::library::GateId;
 use std::fmt;
 use std::io::Read;
+use std::time::{Duration, Instant};
 
 /// Magic number opening every CWS frame (`"CWS\0"` little-endian).
 pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"CWS\0");
@@ -401,7 +402,8 @@ pub enum FrameRead {
 /// A failure while reading one frame from a stream.
 #[derive(Debug)]
 pub enum ReadFrameError {
-    /// The transport failed (including read timeouts).
+    /// The transport failed (including read timeouts and the
+    /// per-frame deadline of [`read_frame`]).
     Io(std::io::Error),
     /// The bytes violated the framing rules.
     Protocol(ProtocolError),
@@ -437,14 +439,25 @@ const READ_GROW_STEP: usize = 64 * 1024;
 /// capacity across calls, so a steady-state connection reads without
 /// allocating. EOF cleanly at a frame boundary is [`FrameRead::Eof`];
 /// EOF mid-frame is [`ProtocolError::Truncated`].
+///
+/// `frame_timeout` bounds a frame in flight (zero = unbounded). Once the
+/// frame's first byte lands, any later read that returns more than
+/// `frame_timeout` after it without completing the frame fails with
+/// [`std::io::ErrorKind::TimedOut`]. Paired with a socket read timeout
+/// of the same length, a peer trickling bytes loses the connection
+/// within twice that, however short its gaps. Waiting for the first
+/// byte is left to the socket's own read timeout. A frame that arrives
+/// in whole chunks pays one clock read.
 pub fn read_frame(
     stream: &mut impl Read,
     buf: &mut Vec<u8>,
     max_payload: u32,
+    frame_timeout: Duration,
 ) -> Result<FrameRead, ReadFrameError> {
+    let mut clock = FrameClock { limit: frame_timeout, first_byte: None };
     buf.clear();
     buf.resize(FRAME_HEADER_BYTES, 0);
-    if !fill(stream, &mut buf[..], true)? {
+    if !fill(stream, &mut buf[..], true, &mut clock, false)? {
         return Ok(FrameRead::Eof);
     }
     let mut header = &buf[..];
@@ -456,17 +469,53 @@ pub fn read_frame(
         // for the bytes before it to arrive.
         let end = total.min(buf.capacity().max(filled + READ_GROW_STEP));
         buf.resize(end, 0);
-        fill(stream, &mut buf[filled..end], false)?;
+        fill(stream, &mut buf[filled..end], false, &mut clock, end == total)?;
         filled = end;
     }
     check_crc(buf).map_err(ReadFrameError::Protocol)?;
     Ok(FrameRead::Frame(kind))
 }
 
+/// The per-frame deadline of [`read_frame`].
+struct FrameClock {
+    limit: Duration,
+    /// When the frame's first byte landed; unset until then.
+    first_byte: Option<Instant>,
+}
+
+impl FrameClock {
+    /// Runs after every read that landed bytes. The first arms the
+    /// clock; a later one fails once the limit has passed, unless it
+    /// completed the frame.
+    fn on_read(&mut self, completes_frame: bool) -> Result<(), ReadFrameError> {
+        if self.limit.is_zero() {
+            return Ok(());
+        }
+        match self.first_byte {
+            None => self.first_byte = Some(Instant::now()),
+            Some(t) if !completes_frame && t.elapsed() > self.limit => {
+                return Err(ReadFrameError::Io(std::io::Error::new(
+                    std::io::ErrorKind::TimedOut,
+                    "frame not completed within the read timeout",
+                )));
+            }
+            Some(_) => {}
+        }
+        Ok(())
+    }
+}
+
 /// Fills `chunk` from the stream. Returns `Ok(false)` only when
 /// `eof_ok` and the stream ended before the first byte; EOF anywhere
-/// else is [`ProtocolError::Truncated`].
-fn fill(stream: &mut impl Read, chunk: &mut [u8], eof_ok: bool) -> Result<bool, ReadFrameError> {
+/// else is [`ProtocolError::Truncated`]. `last_chunk` marks the chunk
+/// that ends the frame.
+fn fill(
+    stream: &mut impl Read,
+    chunk: &mut [u8],
+    eof_ok: bool,
+    clock: &mut FrameClock,
+    last_chunk: bool,
+) -> Result<bool, ReadFrameError> {
     let mut filled = 0usize;
     while filled < chunk.len() {
         match stream.read(&mut chunk[filled..]) {
@@ -477,7 +526,10 @@ fn fill(stream: &mut impl Read, chunk: &mut [u8], eof_ok: bool) -> Result<bool, 
                     Err(ReadFrameError::Protocol(ProtocolError::Truncated))
                 };
             }
-            Ok(n) => filled += n,
+            Ok(n) => {
+                filled += n;
+                clock.on_read(last_chunk && filled == chunk.len())?;
+            }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(ReadFrameError::Io(e)),
         }
@@ -910,7 +962,7 @@ mod tests {
         let mut stream = &wire[..];
         let mut buf = Vec::new();
         assert_eq!(
-            read_frame(&mut stream, &mut buf, 1024).unwrap(),
+            read_frame(&mut stream, &mut buf, 1024, Duration::ZERO).unwrap(),
             FrameRead::Frame(FrameKind::Ping)
         );
         assert_eq!(
@@ -918,15 +970,18 @@ mod tests {
             41
         );
         assert_eq!(
-            read_frame(&mut stream, &mut buf, 1024).unwrap(),
+            read_frame(&mut stream, &mut buf, 1024, Duration::ZERO).unwrap(),
             FrameRead::Frame(FrameKind::ListGates)
         );
-        assert_eq!(read_frame(&mut stream, &mut buf, 1024).unwrap(), FrameRead::Eof);
+        assert_eq!(
+            read_frame(&mut stream, &mut buf, 1024, Duration::ZERO).unwrap(),
+            FrameRead::Eof
+        );
 
         // EOF mid-frame is truncation, not a clean close.
         let mut stream = &wire[..5];
         assert!(matches!(
-            read_frame(&mut stream, &mut buf, 1024),
+            read_frame(&mut stream, &mut buf, 1024, Duration::ZERO),
             Err(ReadFrameError::Protocol(ProtocolError::Truncated))
         ));
     }
@@ -943,7 +998,7 @@ mod tests {
         let mut stream = &wire[..];
         let mut buf = Vec::new();
         assert!(matches!(
-            read_frame(&mut stream, &mut buf, max),
+            read_frame(&mut stream, &mut buf, max, Duration::ZERO),
             Err(ReadFrameError::Protocol(ProtocolError::Truncated))
         ));
         assert!(
@@ -962,14 +1017,14 @@ mod tests {
         for _ in 0..2 {
             let mut stream = &out[..];
             assert_eq!(
-                read_frame(&mut stream, &mut buf, max).unwrap(),
+                read_frame(&mut stream, &mut buf, max, Duration::ZERO).unwrap(),
                 FrameRead::Frame(FrameKind::Pong)
             );
             assert_eq!(buf, out[..]);
         }
         let warm = buf.capacity();
         let mut stream = &out[..];
-        read_frame(&mut stream, &mut buf, max).unwrap();
+        read_frame(&mut stream, &mut buf, max, Duration::ZERO).unwrap();
         assert_eq!(buf.capacity(), warm);
     }
 

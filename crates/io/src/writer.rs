@@ -44,7 +44,7 @@ struct Pending {
 ///
 /// ```
 /// use compaqt_core::compress::{Compressor, Variant};
-/// use compaqt_io::{Reader, Writer};
+/// use compaqt_io::{Reader, ReaderOptions, Writer};
 /// use compaqt_pulse::shapes::{Drag, PulseShape};
 /// use compaqt_pulse::library::{GateId, GateKind};
 ///
@@ -52,7 +52,7 @@ struct Pending {
 /// let z = Compressor::new(Variant::IntDctW { ws: 16 }).compress(&wf)?;
 /// let mut writer = Writer::new();
 /// writer.add(&GateId::single(GateKind::X, 0), &z)?;
-/// let reader = Reader::new(writer.finish()?)?;
+/// let reader = Reader::open(writer.finish()?, ReaderOptions::default())?;
 /// assert_eq!(reader.len(), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```

@@ -1,17 +1,17 @@
 //! Full controller bring-up: the complete Figure 6 flow.
 //!
 //! calibration cycle (with drift) -> fidelity-aware compression
-//! (Algorithm 1) -> binary memory image -> controller load -> sequencer
-//! playback of a scheduled circuit.
+//! (Algorithm 1) -> CWL container (host -> controller transfer) ->
+//! controller load -> sequencer playback of a scheduled circuit.
 //!
 //! ```sh
 //! cargo run --release --example controller_bringup
 //! ```
 
-use compaqt::core::bitstream::{read_image, write_image};
 use compaqt::core::calibration::CalibrationLoop;
 use compaqt::core::compress::{Compressor, Variant};
 use compaqt::core::sequencer::{Controller, ControllerConfig, Instruction};
+use compaqt::io::{Reader, ReaderOptions, Writer};
 use compaqt::pulse::device::Device;
 use compaqt::pulse::library::{GateId, GateKind, PulseLibrary};
 use compaqt::pulse::vendor::Vendor;
@@ -47,12 +47,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // 2. Serialize the compressed library into the controller memory
-    //    image and parse it back (host -> controller transfer).
-    let image = write_image(&compressed_library);
-    println!("\nmemory image: {} bytes for {} waveforms", image.len(), compressed_library.len());
-    let records = read_image(image)?;
-    assert_eq!(records.len(), compressed_library.len());
+    // 2. Pack the compressed library into a CWL container and validate
+    //    it on the way in (host -> controller transfer).
+    let mut writer = Writer::new();
+    for (gate, z) in &compressed_library {
+        writer.add(gate, z)?;
+    }
+    let container = writer.finish()?;
+    println!("\ncontainer: {} bytes for {} waveforms", container.len(), compressed_library.len());
+    let reader = Reader::open(container, ReaderOptions::default())?;
+    assert_eq!(reader.len(), compressed_library.len());
 
     // 3. Load the drifted device's library into a QICK-class controller.
     let drifted = device.with_drift(1, 0.02).with_drift(2, 0.02);

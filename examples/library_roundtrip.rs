@@ -9,7 +9,7 @@
 
 use compaqt::core::compress::{Compressor, Variant, SAMPLE_BYTES};
 use compaqt::core::store::StoreConfig;
-use compaqt::io::{write_library, Reader};
+use compaqt::io::{write_library, Reader, ReaderOptions};
 use compaqt::pulse::device::Device;
 use compaqt::pulse::vendor::Vendor;
 
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    ordering, CRC-32 per entry) before trusting a single payload.
     let loaded = std::fs::read(&path)?;
     std::fs::remove_file(&path).ok();
-    let reader = Reader::from_vec(loaded)?;
+    let reader = Reader::open(loaded, ReaderOptions::default())?;
     println!(
         "load    : {} entries validated, library rate {:?} GS/s",
         reader.len(),
@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut mangled = bytes.to_vec();
     let last = mangled.len() - 1;
     mangled[last] ^= 0x04;
-    match Reader::from_vec(mangled) {
+    match Reader::open(mangled, ReaderOptions::default()) {
         Err(e) => println!("corrupt : rejected as expected — {e}"),
         Ok(_) => unreachable!("a flipped payload byte must not validate"),
     }

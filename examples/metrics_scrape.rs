@@ -11,8 +11,8 @@
 
 use compaqt::core::compress::{Compressor, Variant};
 use compaqt::core::store::StoreConfig;
-use compaqt::io::serve::{serve_with, Client, ServeConfig};
-use compaqt::io::{write_library, Reader};
+use compaqt::io::serve::{serve_source, Client, ServeConfig};
+use compaqt::io::{write_library, Reader, ReaderOptions};
 use compaqt::obs::render_text;
 use compaqt::pulse::device::Device;
 use std::sync::Arc;
@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let device = Device::named_machine("guadalupe");
     let lib = device.pulse_library();
     let bytes = write_library(&lib, &Compressor::new(Variant::IntDctW { ws: 16 }))?;
-    let reader = Reader::new(bytes)?;
+    let reader = Reader::open(bytes, ReaderOptions::default())?;
     let store = Arc::new(reader.into_store(StoreConfig {
         shards: 8,
         hot_capacity: lib.len(),
@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace_events: 128,
         ..ServeConfig::default()
     };
-    let handle = serve_with(Arc::clone(&store), "127.0.0.1:0", config)?;
+    let handle = serve_source(Arc::clone(&store), "127.0.0.1:0", config)?;
     let addr = handle.local_addr();
     println!("serving on {addr}");
 

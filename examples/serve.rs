@@ -10,8 +10,8 @@
 
 use compaqt::core::compress::{Compressor, Variant};
 use compaqt::core::store::StoreConfig;
-use compaqt::io::serve::{serve_with, Client, ServeConfig};
-use compaqt::io::{write_library, Reader};
+use compaqt::io::serve::{serve_source, Client, ServeConfig};
+use compaqt::io::{write_library, Reader, ReaderOptions};
 use compaqt::pulse::device::Device;
 use std::sync::Arc;
 use std::time::Instant;
@@ -26,14 +26,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("container: {} gates in {} bytes", lib.len(), bytes.len());
 
     // 2. Daemon side: validate the container, load the store, listen.
-    let reader = Reader::new(bytes)?;
+    let reader = Reader::open(bytes, ReaderOptions::default())?;
     let store = Arc::new(reader.into_store(StoreConfig {
         shards: 8,
         hot_capacity: lib.len(),
         ..StoreConfig::default()
     })?);
     let config = ServeConfig { max_connections: 16, ..ServeConfig::default() };
-    let handle = serve_with(Arc::clone(&store), "127.0.0.1:0", config)?;
+    let handle = serve_source(Arc::clone(&store), "127.0.0.1:0", config)?;
     println!("serving on {}", handle.local_addr());
 
     // 3. Controller side: eight concurrent clients sweep the library.

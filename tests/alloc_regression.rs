@@ -209,11 +209,9 @@ fn steady_state_library_codec_allocates_nothing() {
     // allowed allocation, per window size, paid exactly once. Both
     // kernels run so the matrix oracle inherits the same guarantee.
     use compaqt::dsp::fixed::Q15;
-    use compaqt::dsp::plan::IntDctPlan;
-    let int_plans: Vec<IntDctPlan> = compaqt::dsp::intdct::SUPPORTED_SIZES
-        .iter()
-        .map(|&ws| IntDctPlan::new(ws).unwrap())
-        .collect();
+    use compaqt::dsp::intdct::IntDct;
+    let int_plans: Vec<IntDct> =
+        compaqt::dsp::intdct::SUPPORTED_SIZES.iter().map(|&ws| IntDct::new(ws).unwrap()).collect();
     let max_ws = *compaqt::dsp::intdct::SUPPORTED_SIZES.iter().max().unwrap();
     let window: Vec<Q15> =
         (0..max_ws).map(|i| Q15::from_f64(0.7 * ((i as f64) * 0.37).sin())).collect();
@@ -372,9 +370,9 @@ fn steady_state_library_codec_allocates_nothing() {
     // drained from — and the reader's own random-access decode path
     // (payload parse into a reused slot + engine decode through the
     // scratch) must be allocation-free too once warm.
-    use compaqt::io::{write_store, ContainerScratch, Reader};
+    use compaqt::io::{write_store, ContainerScratch, Reader, ReaderOptions};
     let bytes = write_store(&store).unwrap();
-    let reader = Reader::new(bytes.clone()).unwrap();
+    let reader = Reader::open(bytes.clone(), ReaderOptions::default()).unwrap();
     let mut cscratch = ContainerScratch::new();
     for _ in 0..2 {
         for gate in &gates {
@@ -428,7 +426,6 @@ fn steady_state_library_codec_allocates_nothing() {
     // cached-verdict hits every later touch takes. Buffers are warmed
     // through one lazy reader; a second, still-unjudged reader then
     // takes its first touches entirely inside the measured region.
-    use compaqt::io::ReaderOptions;
     let warm_lazy = Reader::open(bytes.clone(), ReaderOptions::lazy_crc()).unwrap();
     let fresh_lazy = Reader::open(bytes.clone(), ReaderOptions::lazy_crc()).unwrap();
     for _ in 0..2 {
@@ -470,7 +467,7 @@ fn steady_state_library_codec_allocates_nothing() {
         let z = Compressor::new(variant).compress(wf).unwrap();
         writer.add(gate, &z).unwrap();
     }
-    let mixed = Reader::new(writer.finish().unwrap()).unwrap();
+    let mixed = Reader::open(writer.finish().unwrap(), ReaderOptions::default()).unwrap();
     let mixed_gates: Vec<_> = mixed.gates().cloned().collect();
     let mut mscratch = ContainerScratch::new();
     for _ in 0..2 {
@@ -548,11 +545,13 @@ fn steady_state_library_codec_allocates_nothing() {
     let mut stream_bytes: Vec<u8> = requests.concat();
     stream_bytes.extend_from_slice(responder.respond(&store, requests.last().unwrap()).unwrap());
     let mut read_buf = Vec::new();
+    // The server's default read timeout, so the per-frame clock runs.
+    let frame_timeout = ServeConfig::default().read_timeout;
     let read_all = |read_buf: &mut Vec<u8>| {
         let mut stream = &stream_bytes[..];
         let mut frames = 0usize;
         while let compaqt::io::wire::FrameRead::Frame(_) =
-            read_frame(&mut stream, read_buf, DEFAULT_MAX_FRAME_BYTES).unwrap()
+            read_frame(&mut stream, read_buf, DEFAULT_MAX_FRAME_BYTES, frame_timeout).unwrap()
         {
             frames += 1;
         }

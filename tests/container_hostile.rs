@@ -96,7 +96,7 @@ proptest! {
     ) {
         // Validation is vanishingly unlikely — but a survivor must
         // still be total.
-        if let Ok(reader) = Reader::from_vec(garbage) {
+        if let Ok(reader) = Reader::open(garbage, ReaderOptions::default()) {
             drive_survivor(&reader);
         }
     }
@@ -112,7 +112,7 @@ proptest! {
         let mut bytes = container_bytes();
         let k = pos % bytes.len();
         bytes[k] ^= 1 << bit;
-        if let Ok(reader) = Reader::from_vec(bytes) {
+        if let Ok(reader) = Reader::open(bytes, ReaderOptions::default()) {
             drive_survivor(&reader);
             let _ = reader.into_store(StoreConfig::default());
         }
@@ -124,7 +124,7 @@ proptest! {
     fn truncations_are_always_rejected(cut in proptest::num::usize::ANY) {
         let bytes = container_bytes();
         let cut = cut % bytes.len();
-        let err = Reader::from_vec(bytes[..cut].to_vec())
+        let err = Reader::open(bytes[..cut].to_vec(), ReaderOptions::default())
             .expect_err("a truncated container must not validate");
         prop_assert!(matches!(
             err,
@@ -151,7 +151,7 @@ proptest! {
         let at = HEADER_BYTES + at % index_bytes as usize;
         let changed = bytes[at] != value;
         bytes[at] = value;
-        match Reader::from_vec(bytes.clone()) {
+        match Reader::open(bytes.clone(), ReaderOptions::default()) {
             Ok(reader) => {
                 prop_assert!(!changed, "a changed index byte must fail the index checksum");
                 drive_survivor(&reader);
@@ -164,7 +164,7 @@ proptest! {
         }
         // Consistent forger: fix the checksum, keep the mangled bytes.
         fix_index_crc(&mut bytes);
-        if let Ok(reader) = Reader::from_vec(bytes) {
+        if let Ok(reader) = Reader::open(bytes, ReaderOptions::default()) {
             drive_survivor(&reader);
         }
     }
@@ -178,22 +178,31 @@ fn metadata_lies_are_rejected() {
     // Version skew.
     let mut bad = clean.clone();
     bad[VERSION_AT] = 0xFE;
-    assert_eq!(Reader::from_vec(bad).unwrap_err(), ContainerError::VersionSkew { found: 0xFE });
+    assert_eq!(
+        Reader::open(bad, ReaderOptions::default()).unwrap_err(),
+        ContainerError::VersionSkew { found: 0xFE }
+    );
 
     // Entry count inflated to 4 billion: must be rejected *before* any
     // index storage is sized from it (a trusting reader would try to
     // reserve ~100 GiB here).
     let mut bad = clean.clone();
     patch_u32(&mut bad, COUNT_AT, u32::MAX);
-    assert!(matches!(Reader::from_vec(bad).unwrap_err(), ContainerError::IndexInvalid(_)));
+    assert!(matches!(
+        Reader::open(bad, ReaderOptions::default()).unwrap_err(),
+        ContainerError::IndexInvalid(_)
+    ));
 
     // Section sizes that do not add up to the file.
     let mut bad = clean.clone();
     patch_u64(&mut bad, INDEX_BYTES_AT, u64::MAX / 2);
-    assert_eq!(Reader::from_vec(bad).unwrap_err(), ContainerError::Truncated);
+    assert_eq!(Reader::open(bad, ReaderOptions::default()).unwrap_err(), ContainerError::Truncated);
     let mut bad = clean.clone();
     patch_u64(&mut bad, PAYLOAD_BYTES_AT, 0);
-    assert!(matches!(Reader::from_vec(bad).unwrap_err(), ContainerError::IndexInvalid(_)));
+    assert!(matches!(
+        Reader::open(bad, ReaderOptions::default()).unwrap_err(),
+        ContainerError::IndexInvalid(_)
+    ));
 }
 
 /// Offset/length lies inside the index: overlap, gaps and
@@ -214,7 +223,10 @@ fn layout_lies_and_crc_damage_are_rejected() {
     // checksum mismatch before structure is even looked at.
     let mut bad = clean.clone();
     patch_u64(&mut bad, first_offset_at, 2);
-    assert_eq!(Reader::from_vec(bad).unwrap_err(), ContainerError::IndexCrcMismatch);
+    assert_eq!(
+        Reader::open(bad, ReaderOptions::default()).unwrap_err(),
+        ContainerError::IndexCrcMismatch
+    );
 
     // Consistent forgers (index CRC recomputed) face the structural
     // checks. Offset pushed forward: the first range now overlaps the
@@ -222,7 +234,10 @@ fn layout_lies_and_crc_damage_are_rejected() {
     let mut bad = clean.clone();
     patch_u64(&mut bad, first_offset_at, 2);
     fix_index_crc(&mut bad);
-    assert!(matches!(Reader::from_vec(bad).unwrap_err(), ContainerError::IndexInvalid(_)));
+    assert!(matches!(
+        Reader::open(bad, ReaderOptions::default()).unwrap_err(),
+        ContainerError::IndexInvalid(_)
+    ));
 
     // Length inflated: every later range shifts out of place and the
     // section sum no longer closes.
@@ -231,27 +246,39 @@ fn layout_lies_and_crc_damage_are_rejected() {
     let len = u32::from_le_bytes(clean[len_at..len_at + 4].try_into().unwrap());
     patch_u32(&mut bad, len_at, len + 2);
     fix_index_crc(&mut bad);
-    assert!(matches!(Reader::from_vec(bad).unwrap_err(), ContainerError::IndexInvalid(_)));
+    assert!(matches!(
+        Reader::open(bad, ReaderOptions::default()).unwrap_err(),
+        ContainerError::IndexInvalid(_)
+    ));
 
     // Length inflated past the whole payload section: out of bounds.
     let mut bad = clean.clone();
     patch_u32(&mut bad, len_at, u32::MAX);
     fix_index_crc(&mut bad);
-    assert!(matches!(Reader::from_vec(bad).unwrap_err(), ContainerError::IndexInvalid(_)));
+    assert!(matches!(
+        Reader::open(bad, ReaderOptions::default()).unwrap_err(),
+        ContainerError::IndexInvalid(_)
+    ));
 
     // The attack the index checksum exists for: rewrite the first
     // entry's qubit id so an intact, payload-CRC-valid pulse would be
     // served under the wrong gate. The index CRC refuses it.
     let mut bad = clean.clone();
     bad[HEADER_BYTES + 2] = 9; // X(q0) → X(q9), payloads untouched
-    assert_eq!(Reader::from_vec(bad).unwrap_err(), ContainerError::IndexCrcMismatch);
+    assert_eq!(
+        Reader::open(bad, ReaderOptions::default()).unwrap_err(),
+        ContainerError::IndexCrcMismatch
+    );
 
     // Payload flip behind an intact index: CRC catches it and names
     // the damaged gate.
     let mut bad = clean.clone();
     let payload_base = HEADER_BYTES + index_bytes;
     bad[payload_base + 3] ^= 0x40;
-    assert!(matches!(Reader::from_vec(bad).unwrap_err(), ContainerError::CrcMismatch { .. }));
+    assert!(matches!(
+        Reader::open(bad, ReaderOptions::default()).unwrap_err(),
+        ContainerError::CrcMismatch { .. }
+    ));
 }
 
 /// Lazy-CRC mode defers payload verdicts to first touch, and then
@@ -269,15 +296,15 @@ fn lazy_crc_defers_verdicts_and_caches_failures() {
     // Damage the first entry's payload (offset 0 in the payload section).
     bad[HEADER_BYTES + index_bytes + 3] ^= 0x40;
 
-    // Eager mode (the Reader::new path) refuses the container at open.
+    // Eager mode (the default options) refuses the container at open.
     assert!(matches!(
-        Reader::from_vec(bad.clone()).unwrap_err(),
+        Reader::open(bad.clone(), ReaderOptions::default()).unwrap_err(),
         ContainerError::CrcMismatch { .. }
     ));
 
     // Reference decodes from the clean container, for the undamaged
     // gates the lazy reader must still serve bit-exactly.
-    let reference = Reader::from_vec(clean.clone()).unwrap();
+    let reference = Reader::open(clean.clone(), ReaderOptions::default()).unwrap();
 
     // The reader's validation-progress gauges, as a scrape would see
     // them: (reader_crc_checked, reader_crc_failed).

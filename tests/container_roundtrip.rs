@@ -25,7 +25,7 @@ use compaqt::core::overlap::OverlapCompressor;
 use compaqt::core::store::{Store, StoreConfig};
 use compaqt::io::{
     write_library, write_report, write_store, ContainerScratch, FromContainer, Reader,
-    StreamPayload, Writer,
+    ReaderOptions, StreamPayload, Writer,
 };
 use compaqt::pulse::device::Device;
 use compaqt::pulse::library::{GateId, GateKind};
@@ -77,7 +77,7 @@ proptest! {
         let gate = GateId::single(GateKind::X, 0);
         let mut writer = Writer::new();
         writer.add(&gate, &z).unwrap();
-        let reader = Reader::new(writer.finish().unwrap()).unwrap();
+        let reader = Reader::open(writer.finish().unwrap(), ReaderOptions::default()).unwrap();
 
         // Field-exact stream round-trip.
         let StreamPayload::Plain(back) = reader.find(&gate).unwrap().read().unwrap() else {
@@ -125,7 +125,7 @@ proptest! {
         let g_adaptive = GateId::pair(GateKind::Cx, 0, 1);
         writer.add_overlap(&g_overlap, &lapped).unwrap();
         writer.add_adaptive(&g_adaptive, &adaptive).unwrap();
-        let reader = Reader::new(writer.finish().unwrap()).unwrap();
+        let reader = Reader::open(writer.finish().unwrap(), ReaderOptions::default()).unwrap();
 
         let StreamPayload::Overlap(back) = reader.find(&g_overlap).unwrap().read().unwrap() else {
             panic!("overlap entry read back as a different kind");
@@ -177,7 +177,7 @@ fn container_bytes_are_deterministic() {
     assert_eq!(direct.as_ref(), write_store(&store).unwrap().as_ref(), "store path");
 
     // And a full write → load → write cycle is a fixed point.
-    let reader = Reader::new(direct.clone()).unwrap();
+    let reader = Reader::open(direct.clone(), ReaderOptions::default()).unwrap();
     let reloaded = reader.into_store(StoreConfig::default()).unwrap();
     assert_eq!(direct.as_ref(), write_store(&reloaded).unwrap().as_ref(), "reload fixed point");
 }
@@ -198,7 +198,7 @@ fn hex_433_container_and_decode_digest() -> (Vec<u8>, u64) {
     let lib = spec.build_library();
     let compressor = Compressor::new(Variant::IntDctW { ws: 16 });
     let bytes = write_library(&lib, &compressor).unwrap();
-    let reader = Reader::new(bytes.clone()).unwrap();
+    let reader = Reader::open(bytes.clone(), ReaderOptions::default()).unwrap();
     let mut scratch = ContainerScratch::new();
     let (mut i, mut q) = (Vec::new(), Vec::new());
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
@@ -289,13 +289,11 @@ fn every_source_kind_serves_bit_identically() {
     writer.add_adaptive(&g_adaptive, &adaptive).unwrap();
     let bytes = writer.finish().unwrap();
 
-    // Owned + eager is the historical `Reader::new` behaviour — the
-    // reference every other (kind, mode) pair must match bit-for-bit.
-    let reference = Reader::new(bytes.clone()).unwrap();
+    // Owned + eager (the default options) is the reference every other (kind, mode) pair must match bit-for-bit.
+    let reference = Reader::open(bytes.clone(), ReaderOptions::default()).unwrap();
     let mut rscratch = ContainerScratch::new();
     let (mut ri, mut rq) = (Vec::new(), Vec::new());
 
-    use compaqt::io::ReaderOptions;
     for kind in common::selected_kinds() {
         for options in [ReaderOptions::new(), ReaderOptions::lazy_crc()] {
             common::with_source(kind, bytes.as_ref(), options, |r| {
@@ -362,7 +360,10 @@ fn container_loaded_store_matches_in_memory_store() {
     let compressor = Compressor::new(Variant::IntDctW { ws: 16 });
     let in_memory = Store::from_library(&lib, &compressor).unwrap();
     let bytes = write_store(&in_memory).unwrap();
-    let loaded = Reader::new(bytes).unwrap().into_store(StoreConfig::default()).unwrap();
+    let loaded = Reader::open(bytes, ReaderOptions::default())
+        .unwrap()
+        .into_store(StoreConfig::default())
+        .unwrap();
     assert_eq!(loaded.len(), in_memory.len());
 
     let ids = in_memory.gates();

@@ -247,10 +247,6 @@ fn sibling_decode_paths_reject_hostile_streams_too() {
         batch::decompress_library(std::slice::from_ref(&shape_lie)),
         Err(CompressError::MalformedStream { .. })
     ));
-    assert!(matches!(
-        batch::decompress_library_par(std::slice::from_ref(&shape_lie)),
-        Err(CompressError::MalformedStream { .. })
-    ));
 
     // Overlap twin: hostile sample-count claims must not overflow the
     // accounting, and a bogus rate must not reach Waveform::new.

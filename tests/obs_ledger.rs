@@ -18,9 +18,9 @@
 
 use compaqt::core::compress::{Compressor, Variant};
 use compaqt::core::store::StoreConfig;
-use compaqt::io::serve::{serve_with, Client, ServeConfig};
+use compaqt::io::serve::{serve_source, Client, ServeConfig};
 use compaqt::io::wire::{encode_metrics_report, parse_metrics_report};
-use compaqt::io::{write_library, Reader};
+use compaqt::io::{write_library, Reader, ReaderOptions};
 use compaqt::obs::{
     bucket_bounds, render_text, Histogram, HistogramSnapshot, Snapshot, TraceEvent, TraceKind,
     TraceRing, BUCKETS,
@@ -225,7 +225,7 @@ fn ring_snapshots_are_never_torn_under_concurrent_writers() {
 fn metrics_over_loopback_round_trips_bit_identically() {
     let lib = Device::synthesize(Vendor::Ibm, 3, 0x0B5).pulse_library();
     let bytes = write_library(&lib, &Compressor::new(Variant::IntDctW { ws: 16 })).unwrap();
-    let reader = Reader::new(bytes).unwrap();
+    let reader = Reader::open(bytes, ReaderOptions::default()).unwrap();
     let store = Arc::new(
         reader
             .into_store(StoreConfig { shards: 4, hot_capacity: lib.len(), codec_metrics: true })
@@ -236,7 +236,7 @@ fn metrics_over_loopback_round_trips_bit_identically() {
         trace_events: 64,
         ..ServeConfig::default()
     };
-    let handle = serve_with(Arc::clone(&store), "127.0.0.1:0", config).unwrap();
+    let handle = serve_source(Arc::clone(&store), "127.0.0.1:0", config).unwrap();
     let mut client = Client::connect(handle.local_addr()).unwrap();
 
     client.ping().unwrap();

@@ -89,15 +89,12 @@ proptest! {
             .into_iter()
             .map(|v| Compressor::new(v).compress(&wf).unwrap())
             .collect();
-        let (seq, seq_stats) = batch::decompress_library(&zs).unwrap();
-        let (par, par_stats) = batch::decompress_library_par(&zs).unwrap();
-        prop_assert_eq!(seq_stats, par_stats);
-        for ((z, a), b) in zs.iter().zip(&seq).zip(&par) {
+        let (seq, _) = batch::decompress_library(&zs).unwrap();
+        for (z, a) in zs.iter().zip(&seq) {
             let engine = DecompressionEngine::for_variant(z.variant).unwrap();
             let (single, _) = engine.decompress(z).unwrap();
             prop_assert_eq!(single.i(), a.i());
-            prop_assert_eq!(a.i(), b.i());
-            prop_assert_eq!(a.q(), b.q());
+            prop_assert_eq!(single.q(), a.q());
         }
     }
 

@@ -23,7 +23,7 @@
 
 use compaqt::core::compress::{Compressor, Variant};
 use compaqt::core::store::{Store, StoreConfig};
-use compaqt::io::serve::{serve, Client, Responder, ServeConfig};
+use compaqt::io::serve::{serve, serve_source, Client, Responder, ServeConfig};
 use compaqt::io::wire::{
     begin_frame, encode_fetch_gate, end_frame, parse_frame, FrameKind, DEFAULT_MAX_FRAME_BYTES,
 };
@@ -226,5 +226,57 @@ fn oversized_claims_are_rejected_before_buffering() {
     assert_eq!(kind, FrameKind::Error);
 
     assert_still_serving(addr);
+    handle.shutdown();
+}
+
+/// A peer that trickles one byte per 100 ms never trips a 200 ms
+/// per-read timeout, so only the per-frame deadline can take its slot
+/// back: the frame claims a 1 KiB payload (about 100 s of trickle),
+/// and the server must close well inside two read timeouts plus
+/// scheduling slack, ledgering exactly one timeout.
+#[test]
+fn trickled_frames_lose_their_slot_to_the_frame_deadline() {
+    use std::time::{Duration, Instant};
+
+    let config = ServeConfig { read_timeout: Duration::from_millis(200), ..ServeConfig::default() };
+    let handle = serve_source(test_store(), "127.0.0.1:0", config).unwrap();
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&u32::from_le_bytes(*b"CWS\0").to_le_bytes());
+    frame.extend_from_slice(&1u16.to_le_bytes());
+    frame.extend_from_slice(&FrameKind::FetchGate.tag().to_le_bytes());
+    frame.extend_from_slice(&1024u32.to_le_bytes());
+    frame.resize(frame.len() + 1024 + 4, 0xA5);
+
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    // The 100 ms read wait doubles as the trickle interval.
+    stream.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
+    let started = Instant::now();
+    let mut closed = false;
+    for byte in &frame {
+        if stream.write_all(std::slice::from_ref(byte)).is_err() {
+            closed = true;
+            break;
+        }
+        let mut sink = [0u8; 64];
+        match stream.read(&mut sink) {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) => {}
+            _ => {
+                closed = true;
+                break;
+            }
+        }
+        if started.elapsed() > Duration::from_millis(1500) {
+            break;
+        }
+    }
+    let elapsed = started.elapsed();
+    assert!(closed, "the server still held the trickling connection after {elapsed:?}");
+    assert!(elapsed < Duration::from_millis(1500), "closed only after {elapsed:?}");
+    assert_eq!(handle.stats().timeouts, 1);
+    assert_still_serving(handle.local_addr());
     handle.shutdown();
 }

@@ -8,8 +8,8 @@
 
 use compaqt::core::compress::{Compressor, Variant};
 use compaqt::core::store::{Store, StoreConfig};
-use compaqt::io::serve::{serve, serve_with, Client, ServeConfig, ServeError, ServeStats};
-use compaqt::io::{write_library, ErrorCode, Reader};
+use compaqt::io::serve::{serve, serve_source, Client, ServeConfig, ServeError, ServeStats};
+use compaqt::io::{write_library, ErrorCode, Reader, ReaderOptions};
 use compaqt::pulse::device::Device;
 use compaqt::pulse::library::{GateId, GateKind, PulseLibrary};
 use std::sync::Arc;
@@ -26,7 +26,7 @@ fn guadalupe() -> Arc<PulseLibrary> {
 /// validated [`Reader`] → sharded [`Store`].
 fn container_loaded_store(lib: &PulseLibrary) -> Arc<Store> {
     let bytes = write_library(lib, &Compressor::new(Variant::IntDctW { ws: 16 })).unwrap();
-    let reader = Reader::new(bytes).unwrap();
+    let reader = Reader::open(bytes, ReaderOptions::default()).unwrap();
     let config = StoreConfig { shards: 8, hot_capacity: lib.len(), ..StoreConfig::default() };
     Arc::new(reader.into_store(config).unwrap())
 }
@@ -155,7 +155,7 @@ fn connection_cap_rejects_with_busy_then_recovers() {
     let lib = guadalupe();
     let store = container_loaded_store(&lib);
     let config = ServeConfig { max_connections: 1, ..ServeConfig::default() };
-    let handle = serve_with(store, "127.0.0.1:0", config).unwrap();
+    let handle = serve_source(store, "127.0.0.1:0", config).unwrap();
     let addr = handle.local_addr();
 
     let mut first = Client::connect(addr).unwrap();
@@ -192,7 +192,7 @@ fn read_timeout_frees_a_stalled_slot() {
         read_timeout: Duration::from_millis(100),
         ..ServeConfig::default()
     };
-    let handle = serve_with(store, "127.0.0.1:0", config).unwrap();
+    let handle = serve_source(store, "127.0.0.1:0", config).unwrap();
     let addr = handle.local_addr();
 
     // A client that connects and then says nothing pins the only slot…

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use compaqt::core::compress::{Compressor, Variant};
 use compaqt::core::stats::compress_library;
 use compaqt::core::store::{Store, StoreConfig};
-use compaqt::io::{write_report, Reader};
+use compaqt::io::{write_report, Reader, ReaderOptions};
 use compaqt::pulse::library::{GateId, GateKind};
 use compaqt::pulse::registry::{DeviceSpec, Registry};
 use compaqt::pulse::vendor::Vendor;
@@ -158,7 +158,7 @@ fn surface_d3_syndrome_cycle_replays_through_the_container_store() {
         .collect();
 
     let bytes = write_report(&report).unwrap();
-    let reader = Reader::new(bytes).unwrap();
+    let reader = Reader::open(bytes, ReaderOptions::default()).unwrap();
     let store = reader.into_store(roomy_config(library.len())).unwrap();
 
     let patch = SurfacePatch::unrotated(3);

@@ -1,7 +1,7 @@
 //! Factorized-vs-matrix equivalence suite for the integer DCT.
 //!
 //! The factorized Loeffler-style butterfly kernel is the *default*
-//! forward transform of the codec (`IntDctPlan::forward_into`), so its
+//! forward transform of the codec (`IntDct::forward_into`), so its
 //! contract with the dense matrix oracle is the strongest one possible:
 //! **bit-exactness**, on every supported window size, for every input —
 //! the factorization only reorders exact integer additions, so there is
@@ -16,13 +16,14 @@
 //! [`BatchedDct`]) extend the same contract across windows: transforming
 //! N concatenated windows in one call must be bit-identical to N
 //! per-window calls, on every SIMD tier the machine can run, for every
-//! batch size including ragged tails past the internal chunk width.
+//! batch size including ragged tails past the internal chunk width. The
+//! batched inverse is the codec's only factorized inverse, so it is held
+//! to the sparse matrix inverse (`IntDct::inverse_into`) directly.
 
 use compaqt::dsp::batched::{BatchedDct, BatchedIntDctPlan, KernelTier, MAX_BATCH_CHUNK};
 use compaqt::dsp::dct::Dct;
 use compaqt::dsp::fixed::Q15;
 use compaqt::dsp::intdct::{IntDct, SUPPORTED_SIZES};
-use compaqt::dsp::plan::IntDctPlan;
 use proptest::prelude::*;
 
 /// The window sizes the issue calls out explicitly, plus the rest of the
@@ -55,7 +56,7 @@ fn hostile_windows(ws: usize) -> Vec<(&'static str, Vec<Q15>)> {
 #[test]
 fn factorized_forward_is_default_and_bit_exact_on_hostile_windows() {
     for ws in EQUIV_SIZES {
-        let plan = IntDctPlan::new(ws).unwrap();
+        let plan = IntDct::new(ws).unwrap();
         assert!(plan.uses_factorized_forward(), "ws={ws}: butterfly must be the default");
         let mut fast = vec![0i32; ws];
         let mut oracle = vec![0i32; ws];
@@ -70,10 +71,13 @@ fn factorized_forward_is_default_and_bit_exact_on_hostile_windows() {
 #[test]
 fn factorized_inverse_is_bit_exact_on_hostile_coefficients() {
     // The inverse accepts arbitrary i32 coefficients (hostile streams
-    // included); both kernels accumulate in i64, so they must agree even
-    // at the extreme corners of the coefficient range.
+    // included); the factorized inverse (the batched plan, one window at
+    // a time, on the dispatched tier) and the sparse matrix oracle both
+    // accumulate in i64, so they must agree even at the extreme corners
+    // of the coefficient range.
     for ws in EQUIV_SIZES {
         let t = IntDct::new(ws).unwrap();
+        let mut bp = BatchedIntDctPlan::from_transform(t.clone());
         let hostile: [Vec<i32>; 4] = [
             vec![i32::MAX; ws],
             vec![i32::MIN; ws],
@@ -84,7 +88,7 @@ fn factorized_inverse_is_bit_exact_on_hostile_coefficients() {
         let mut b = vec![Q15::ZERO; ws];
         for y in &hostile {
             t.inverse_into(y, &mut a);
-            t.inverse_butterfly_into(y, &mut b);
+            bp.inverse_batched_into(y, &mut b);
             assert_eq!(a, b, "ws={ws}");
         }
     }
@@ -112,7 +116,7 @@ const BATCH_SIZES: [usize; 4] = [1, 3, MAX_BATCH_CHUNK, MAX_BATCH_CHUNK + 5];
 #[test]
 fn batched_forward_is_bit_exact_on_hostile_windows_across_tiers() {
     for ws in EQUIV_SIZES {
-        let plan = IntDctPlan::new(ws).unwrap();
+        let plan = IntDct::new(ws).unwrap();
         let mut expected = vec![0i32; ws];
         for (name, x) in hostile_windows(ws) {
             plan.forward_into(&x, &mut expected);
@@ -136,24 +140,41 @@ fn batched_forward_is_bit_exact_on_hostile_windows_across_tiers() {
 
 #[test]
 fn batched_inverse_is_bit_exact_on_hostile_coefficients_across_tiers() {
+    // The inverse accepts arbitrary i32 coefficients (hostile streams
+    // included); the factorized transpose and the sparse matrix oracle
+    // both accumulate in i64, so they must agree even at the extreme
+    // corners of the coefficient range, in both output formats.
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
     for ws in EQUIV_SIZES {
         let t = IntDct::new(ws).unwrap();
-        let hostile: [Vec<i32>; 3] = [
+        let hostile: [Vec<i32>; 4] = [
             vec![i32::MAX; ws],
+            vec![i32::MIN; ws],
             (0..ws).map(|k| if k % 2 == 0 { i32::MAX } else { i32::MIN }).collect(),
             (0..ws).map(|k| if k == ws - 1 { i32::MIN } else { 0 }).collect(),
         ];
         let mut expected = vec![Q15::ZERO; ws];
+        let mut expected_f64 = vec![0.0f64; ws];
         for y in &hostile {
             t.inverse_into(y, &mut expected);
+            t.inverse_f64_into(y, 2, &mut expected_f64);
             for batch in BATCH_SIZES {
                 let coeffs: Vec<i32> = y.iter().copied().cycle().take(ws * batch).collect();
                 let mut out = vec![Q15::ZERO; ws * batch];
+                let mut out_f64 = vec![0.0f64; ws * batch];
                 for tier in runnable_tiers() {
                     let mut bp = BatchedIntDctPlan::with_tier(t.clone(), tier);
                     bp.inverse_batched_into(&coeffs, &mut out);
-                    for (w, got) in out.chunks_exact(ws).enumerate() {
+                    bp.inverse_f64_batched_into(&coeffs, 2, &mut out_f64);
+                    for (w, (got, got_f64)) in
+                        out.chunks_exact(ws).zip(out_f64.chunks_exact(ws)).enumerate()
+                    {
                         assert_eq!(got, expected, "ws={ws} batch={batch} tier={tier:?} window={w}");
+                        assert_eq!(
+                            bits(got_f64),
+                            bits(&expected_f64),
+                            "ws={ws} batch={batch} tier={tier:?} window={w} f64"
+                        );
                     }
                 }
             }
@@ -200,7 +221,7 @@ proptest! {
         for ws in EQUIV_SIZES {
             let windows: Vec<Q15> =
                 raw[..ws * batch].iter().map(|&r| Q15::from_raw(r)).collect();
-            let plan = IntDctPlan::new(ws).unwrap();
+            let plan = IntDct::new(ws).unwrap();
             let mut per_window = vec![0i32; ws * batch];
             let mut oracle = vec![0i32; ws * batch];
             for (x, (f, o)) in windows.chunks_exact(ws).zip(
@@ -287,7 +308,7 @@ proptest! {
     fn forward_kernels_agree_on_random_windows(raw in proptest::collection::vec(proptest::num::i16::ANY, 64)) {
         for ws in EQUIV_SIZES {
             let x: Vec<Q15> = raw[..ws].iter().map(|&r| Q15::from_raw(r)).collect();
-            let plan = IntDctPlan::new(ws).unwrap();
+            let plan = IntDct::new(ws).unwrap();
             let mut fast = vec![0i32; ws];
             let mut oracle = vec![0i32; ws];
             plan.forward_into(&x, &mut fast);
@@ -297,24 +318,13 @@ proptest! {
     }
 
     #[test]
-    fn inverse_kernels_agree_on_random_coefficients(raw in proptest::collection::vec(proptest::num::i32::ANY, 64)) {
-        for ws in EQUIV_SIZES {
-            let t = IntDct::new(ws).unwrap();
-            let mut a = vec![Q15::ZERO; ws];
-            let mut b = vec![Q15::ZERO; ws];
-            t.inverse_into(&raw[..ws], &mut a);
-            t.inverse_butterfly_into(&raw[..ws], &mut b);
-            prop_assert_eq!(a, b, "ws={}", ws);
-        }
-    }
-
-    #[test]
     fn round_trip_composition_is_kernel_independent(raw in proptest::collection::vec(proptest::num::i16::ANY, 64)) {
-        // forward -> inverse through the factorized kernels must land on
-        // the same samples as matrix -> matrix: with identical
-        // coefficient streams (asserted above) and bit-exact inverses,
-        // the composition cannot diverge — this closes the loop on the
-        // full factorized round trip.
+        // forward -> inverse through the factorized kernels (the batched
+        // inverse is the factorized one) must land on the same samples
+        // as matrix -> matrix: with identical coefficient streams
+        // (asserted above) and bit-exact inverses, the composition
+        // cannot diverge — this closes the loop on the full factorized
+        // round trip.
         for ws in EQUIV_SIZES {
             let x: Vec<Q15> = raw[..ws].iter().map(|&r| Q15::from_raw(r)).collect();
             let t = IntDct::new(ws).unwrap();
@@ -325,7 +335,7 @@ proptest! {
             prop_assert_eq!(&y_fast, &y_oracle, "ws={} coefficients", ws);
             let mut back_fast = vec![Q15::ZERO; ws];
             let mut back_oracle = vec![Q15::ZERO; ws];
-            t.inverse_butterfly_into(&y_fast, &mut back_fast);
+            BatchedIntDctPlan::from_transform(t.clone()).inverse_batched_into(&y_fast, &mut back_fast);
             t.inverse_into(&y_oracle, &mut back_oracle);
             prop_assert_eq!(back_fast, back_oracle, "ws={} reconstruction", ws);
         }
@@ -349,7 +359,7 @@ proptest! {
             let mut y = vec![0i32; ws];
             t.forward_into(&x, &mut y);
             let mut back = vec![Q15::ZERO; ws];
-            t.inverse_butterfly_into(&y, &mut back);
+            t.inverse_into(&y, &mut back);
             // Rounding plus the HEVC matrix's documented ~1% row
             // non-orthogonality (see `transform_properties`): the bound
             // scales with amplitude at the large window sizes.
