@@ -18,7 +18,10 @@
 //! The `intdct_kernel` group pairs each per-window kernel with its
 //! `*_batched_*` SoA row (64 windows per call, runtime-dispatched SIMD);
 //! the batched rows are gated to meet or beat the per-window rows on
-//! elements/s in the same run.
+//! elements/s in the same run. Their inputs are sine windows, none of
+//! them constant; the ungated `forward_batched_library_ws16` row runs
+//! the same kernel over the 433-qubit fleet's real staged windows,
+//! where most windows are constant and take the closed-form shortcut.
 //!
 //! The serving path is measured too: `store_fetch/cold_fetch_into`
 //! (sharded-store streaming fetch, decodes every call) vs
@@ -43,6 +46,7 @@ use compaqt_core::compress::{CompressedWaveform, Compressor, Variant};
 use compaqt_core::engine::{DecodeScratch, DecompressionEngine, EncodeScratch, EngineStats};
 use compaqt_core::store::Store;
 use compaqt_dsp::batched::BatchedIntDctPlan;
+use compaqt_dsp::fixed::{quantize_into, Q15};
 use compaqt_dsp::intdct::IntDct;
 use compaqt_pulse::device::Device;
 use compaqt_pulse::shapes::{Drag, GaussianSquare, PulseShape};
@@ -53,9 +57,8 @@ fn bench_intdct_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("intdct_kernel");
     for ws in [8usize, 16, 32] {
         let t = IntDct::new(ws).unwrap();
-        let x: Vec<compaqt_dsp::fixed::Q15> = (0..ws)
-            .map(|i| compaqt_dsp::fixed::Q15::from_f64(0.5 * (i as f64 / ws as f64).sin()))
-            .collect();
+        let x: Vec<Q15> =
+            (0..ws).map(|i| Q15::from_f64(0.5 * (i as f64 / ws as f64).sin())).collect();
         let y = t.forward(&x);
         group.throughput(Throughput::Elements(ws as u64));
         // Forward kernel pair: the factorized butterfly default the
@@ -94,9 +97,8 @@ fn bench_intdct_kernel(c: &mut Criterion) {
         // the comparison is immune to machine-speed drift between runs.
         const BATCH: usize = 64;
         let mut plan = BatchedIntDctPlan::from_transform(t.clone());
-        let xs: Vec<compaqt_dsp::fixed::Q15> = (0..ws * BATCH)
-            .map(|i| compaqt_dsp::fixed::Q15::from_f64(0.4 * (i as f64 * 0.37).sin()))
-            .collect();
+        let xs: Vec<Q15> =
+            (0..ws * BATCH).map(|i| Q15::from_f64(0.4 * (i as f64 * 0.37).sin())).collect();
         let mut fwd_b = vec![0i32; ws * BATCH];
         group.throughput(Throughput::Elements((ws * BATCH) as u64));
         group.bench_function(format!("forward_batched_ws{ws}"), |b| {
@@ -118,7 +120,38 @@ fn bench_intdct_kernel(c: &mut Criterion) {
             });
         }
     }
+    // The batched forward over a real library's staged windows (no gate):
+    // hex-433's I and Q channels, each Q15-staged and zero-padded to
+    // whole windows as the encoder stages them. Most of these windows
+    // are constant (all zero or a flat top), which the sine rows above
+    // never are; this row shows what the constant-window shortcut buys.
+    let windows = staged_library_windows("hex-433", 16);
+    let mut plan = BatchedIntDctPlan::new(16).unwrap();
+    let mut coeffs = vec![0i32; windows.len()];
+    group.throughput(Throughput::Elements(windows.len() as u64));
+    group.bench_function("forward_batched_library_ws16", |b| {
+        b.iter(|| {
+            plan.forward_batched_into(black_box(&windows), black_box(&mut coeffs));
+            black_box(coeffs[0])
+        })
+    });
     group.finish();
+}
+
+/// Every channel of a fleet device's pulse library, Q15-staged and
+/// zero-padded to whole `ws`-sample windows, concatenated.
+fn staged_library_windows(device: &str, ws: usize) -> Vec<Q15> {
+    let registry = compaqt_pulse::registry::Registry::builtin();
+    let library = registry.get(device).expect("a builtin fleet device").build_library();
+    let mut windows = Vec::new();
+    for (_, wf) in library.iter_sorted() {
+        for channel in [wf.i(), wf.q()] {
+            let start = windows.len();
+            windows.resize(start + channel.len().div_ceil(ws) * ws, Q15::ZERO);
+            quantize_into(channel, &mut windows[start..start + channel.len()]);
+        }
+    }
+    windows
 }
 
 fn bench_compress(c: &mut Criterion) {

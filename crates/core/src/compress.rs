@@ -23,6 +23,17 @@
 //! coefficients past a fixed per-window budget so the banked memory can
 //! be sized for a uniform worst case (Section V-A).
 //!
+//! For `int-DCT-W` the encoder does only the work that varies between
+//! windows. Most windows of a real pulse library are constant once
+//! staged to Q1.15 (all zero, or one flat-top value); the batched
+//! forward writes such a window's coefficients in closed form, `x`
+//! times each basis row sum, rounded and saturated exactly as the
+//! butterfly would be. The transform is linear and the product is exact
+//! in `i32`, so the coefficients match the matrix oracle bit for bit
+//! (see [`compaqt_dsp::batched::BatchedIntDctPlan::forward_batched_into`]).
+//! Threshold and store-quantize then run as one fused pass over the
+//! channel's flat coefficients.
+//!
 //! # When each variant wins
 //!
 //! * **`int-DCT-W`** is the paper's design point: decompression hardware
@@ -606,7 +617,9 @@ fn float_windows_into(
 /// [`compaqt_dsp::fixed::quantize_into`]) and transformed by one
 /// SoA-batched forward call
 /// ([`compaqt_dsp::batched::BatchedIntDctPlan`]), bit-identical to the
-/// per-window [`compaqt_dsp::intdct::IntDct::forward_into`].
+/// per-window [`compaqt_dsp::intdct::IntDct::forward_into`]; constant
+/// windows take the kernel's closed-form shortcut. Thresholding and
+/// store quantization share one pass.
 fn int_windows_into(
     samples: &[f64],
     ws: usize,
@@ -628,10 +641,14 @@ fn int_windows_into(
     });
     scratch.q_stage = q_stage;
     result?;
-    compaqt_dsp::threshold::apply_threshold_int(&mut out[start..], thr);
-    // Quantize to the 15-bit storage word (tag bit + DC headroom).
+    // Threshold and quantize to the 15-bit storage word (tag bit + DC
+    // headroom) in one branch-free pass. The threshold predicate is
+    // `apply_threshold_int`'s; a zero coefficient quantizes to zero
+    // either way.
+    let limit = u32::try_from(thr).unwrap_or(0);
     for c in &mut out[start..] {
-        *c = int_store_quantize(*c).clamp(MIN_COEFF, MAX_COEFF);
+        let stored = int_store_quantize(*c).clamp(MIN_COEFF, MAX_COEFF);
+        *c = if c.unsigned_abs() < limit { 0 } else { stored };
     }
     Ok(())
 }

@@ -44,7 +44,9 @@
 //! * the integer kernels compute exact (overflow-free, see
 //!   [`crate::loeffler::IntButterflyPlan`]) integer accumulators, where
 //!   addition is associative, so reordering across the batch cannot
-//!   change a single bit;
+//!   change a single bit; the integer forward's closed form for
+//!   constant windows (see [`BatchedIntDctPlan::forward_batched_into`])
+//!   is the same exact sum, factored as `x * sum_i T[k][i]`;
 //! * the float forward applies the *same* multiply and add sequence to
 //!   each window (one window per SIMD lane, no FMA contraction), so
 //!   every per-window rounding step is reproduced exactly.
@@ -835,6 +837,11 @@ pub struct BatchedIntDctPlan {
     acc: Vec<i64>,
     /// Inverse odd-bank scratch rows, `(n/2) * chunk` lanes.
     odd: Vec<i64>,
+    /// Basis row sums `sum_i T[k][i]`: a constant window `x` transforms
+    /// to `x * row_sums[k]` before rounding.
+    row_sums: Vec<i32>,
+    /// Indices of the non-constant windows of the current forward call.
+    dense: Vec<usize>,
 }
 
 impl BatchedIntDctPlan {
@@ -859,6 +866,7 @@ impl BatchedIntDctPlan {
     /// (clamped to what the platform can run) — the testing hook behind
     /// the forced-scalar vs detected-tier agreement suites.
     pub fn with_tier(dct: IntDct, tier: KernelTier) -> Self {
+        let row_sums = (0..dct.len()).map(|k| dct.row(k).iter().sum()).collect();
         BatchedIntDctPlan {
             dct,
             tier: tier.supported(),
@@ -867,6 +875,8 @@ impl BatchedIntDctPlan {
             out_soa: Vec::new(),
             acc: Vec::new(),
             odd: Vec::new(),
+            row_sums,
+            dense: Vec::new(),
         }
     }
 
@@ -896,6 +906,18 @@ impl BatchedIntDctPlan {
     /// 16-bit-saturated coefficients, bit-identically to calling the
     /// per-window kernel on each window.
     ///
+    /// A window whose samples all equal one value `x` skips the
+    /// butterfly: its coefficient `k` is written directly as
+    /// `clamp((x * sum_i T[k][i] + rnd) >> shift)`. The transform is
+    /// linear, so `sum_i T[k][i] * x` is exactly `x` times the basis row
+    /// sum (precomputed when the plan is built), and the product stays
+    /// below `2^28` (`|x| <= 2^15`, `|sum_i T[k][i]| <= 90 * 64`), so it
+    /// fits `i32`. The rounding and saturation are the same as the
+    /// butterfly's, so the result is the value the
+    /// [`IntDct::forward_matrix_into`] oracle computes, on every tier.
+    /// Zero windows and flat tops are most windows of a real pulse
+    /// library; only the remaining windows are gathered into SoA chunks.
+    ///
     /// # Panics
     ///
     /// Panics if `windows.len()` is not a multiple of the window size or
@@ -914,18 +936,31 @@ impl BatchedIntDctPlan {
         };
         let shift = self.dct.forward_shift();
         let rnd = 1i32 << (shift - 1);
-        let max_batch = (windows.len() / n).min(MAX_BATCH_CHUNK);
+        let round = |v: i32| ((v + rnd) >> shift).clamp(i32::from(i16::MIN), i32::from(i16::MAX));
+        // Constant windows in closed form; the rest queue for the kernel.
+        self.dense.clear();
+        for (w, (x, o)) in windows.chunks_exact(n).zip(out.chunks_exact_mut(n)).enumerate() {
+            let first = x[0];
+            if x.iter().all(|&s| s == first) {
+                let first = i32::from(first.raw());
+                for (o, &sum) in o.iter_mut().zip(&self.row_sums) {
+                    *o = round(first * sum);
+                }
+            } else {
+                self.dense.push(w);
+            }
+        }
+        let max_batch = self.dense.len().min(MAX_BATCH_CHUNK);
         self.soa.resize(n * max_batch, 0);
         self.diff.resize(n / 2 * max_batch, 0);
         self.out_soa.resize(n * max_batch, 0);
-        for (wchunk, ochunk) in
-            windows.chunks(n * MAX_BATCH_CHUNK).zip(out.chunks_mut(n * MAX_BATCH_CHUNK))
-        {
-            let batch = wchunk.len() / n;
-            // Transpose in: lane rows are contiguous writes, window reads
-            // stride by `n` (bounds-check-free via `step_by`).
-            for (i, row) in self.soa[..n * batch].chunks_exact_mut(batch).enumerate() {
-                for (o, s) in row.iter_mut().zip(wchunk[i..].iter().step_by(n)) {
+        for chunk in self.dense.chunks(MAX_BATCH_CHUNK) {
+            let batch = chunk.len();
+            // Transpose in: lane `i` of the `b`-th gathered window lands
+            // at `soa[i * batch + b]` (bounds-check-free via `step_by`).
+            for (b, &w) in chunk.iter().enumerate() {
+                let x = &windows[w * n..(w + 1) * n];
+                for (o, s) in self.soa[b..n * batch].iter_mut().step_by(batch).zip(x) {
                     *o = i32::from(s.raw());
                 }
             }
@@ -938,12 +973,13 @@ impl BatchedIntDctPlan {
                 batch,
             );
             // Round + saturate contiguously (autovectorizable), then
-            // transpose out with contiguous per-window writes.
+            // transpose each window back to its own position.
             for v in &mut self.out_soa[..n * batch] {
-                *v = ((*v + rnd) >> shift).clamp(i32::from(i16::MIN), i32::from(i16::MAX));
+                *v = round(*v);
             }
-            for (w, dst) in ochunk.chunks_exact_mut(n).enumerate() {
-                for (o, &v) in dst.iter_mut().zip(self.out_soa[w..].iter().step_by(batch)) {
+            for (b, &w) in chunk.iter().enumerate() {
+                let dst = &mut out[w * n..(w + 1) * n];
+                for (o, &v) in dst.iter_mut().zip(self.out_soa[b..].iter().step_by(batch)) {
                     *o = v;
                 }
             }

@@ -28,11 +28,14 @@ pub fn apply_threshold(coeffs: &mut [f64], threshold: f64) -> usize {
     zeroed
 }
 
-/// Integer-coefficient variant of [`apply_threshold`].
+/// Integer-coefficient variant of [`apply_threshold`]. Magnitudes are
+/// compared unsigned, so `i32::MIN` counts as the largest magnitude; a
+/// non-positive threshold zeroes nothing.
 pub fn apply_threshold_int(coeffs: &mut [i32], threshold: i32) -> usize {
+    let limit = u32::try_from(threshold).unwrap_or(0);
     let mut zeroed = 0;
     for c in coeffs.iter_mut() {
-        if c.abs() < threshold && *c != 0 {
+        if c.unsigned_abs() < limit && *c != 0 {
             *c = 0;
             zeroed += 1;
         }
@@ -116,6 +119,19 @@ mod tests {
         let n = apply_threshold_int(&mut c, 4);
         assert_eq!(n, 2);
         assert_eq!(c, [100, -100, 0, 0, 0]);
+    }
+
+    #[test]
+    fn int_threshold_handles_extreme_magnitudes() {
+        let mut c = [i32::MIN, i32::MIN + 1, i32::MAX, 1];
+        let n = apply_threshold_int(&mut c, i32::MAX);
+        assert_eq!(n, 1, "only |1| is below the threshold");
+        assert_eq!(c, [i32::MIN, i32::MIN + 1, i32::MAX, 0]);
+        for threshold in [0, -1, i32::MIN] {
+            let mut c = [i32::MIN, i32::MIN + 1, i32::MAX, 1, 0];
+            assert_eq!(apply_threshold_int(&mut c, threshold), 0, "threshold {threshold}");
+            assert_eq!(c, [i32::MIN, i32::MIN + 1, i32::MAX, 1, 0]);
+        }
     }
 
     #[test]

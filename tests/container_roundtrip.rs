@@ -376,3 +376,22 @@ fn container_loaded_store_matches_in_memory_store() {
         assert_eq!(&q, lq, "{gate}: Q channel");
     }
 }
+
+/// The encoded bytes of two fleet libraries at the paper's design point,
+/// pinned by length and CRC-32. Any change to a stored word fails here,
+/// on the detected kernel tier and (CI's forced-scalar leg) on the
+/// scalar fallback. The constants come from the encoder without the
+/// constant-window shortcut and the fused threshold pass, so they hold
+/// both to the plain butterfly-then-threshold bytes.
+#[test]
+fn fleet_container_bytes_are_pinned() {
+    let registry = compaqt::pulse::registry::Registry::builtin();
+    let compressor = Compressor::new(Variant::IntDctW { ws: 16 });
+    let pinned = [("hex-433", 1_765_704, 0x5bbf_682c), ("surface-d5", 450_689, 0x1846_9f8c)];
+    for (device, len, crc) in pinned {
+        let lib = registry.get(device).expect("a builtin device").build_library();
+        let bytes = write_library(&lib, &compressor).unwrap();
+        let got = (bytes.len(), compaqt::io::crc32::crc32(&bytes));
+        assert_eq!(got, (len, crc), "{device}: container length and CRC-32");
+    }
+}

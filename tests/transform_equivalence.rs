@@ -18,7 +18,10 @@
 //! per-window calls, on every SIMD tier the machine can run, for every
 //! batch size including ragged tails past the internal chunk width. The
 //! batched inverse is the codec's only factorized inverse, so it is held
-//! to the sparse matrix inverse (`IntDct::inverse_into`) directly.
+//! to the sparse matrix inverse (`IntDct::inverse_into`) directly. The
+//! batched forward writes constant windows in closed form and gathers
+//! only the others into SoA chunks, so mixed batches of both kinds are
+//! held to the matrix oracle too.
 
 use compaqt::dsp::batched::{BatchedDct, BatchedIntDctPlan, KernelTier, MAX_BATCH_CHUNK};
 use compaqt::dsp::dct::Dct;
@@ -366,6 +369,86 @@ proptest! {
             let bound = 6e-3 + 0.015 * amp;
             for (a, b) in x.iter().zip(&back) {
                 prop_assert!((a.to_f64() - b.to_f64()).abs() < bound, "ws={}", ws);
+            }
+        }
+    }
+}
+
+/// Dense-window counts around the chunk width: one short of a full
+/// chunk, exactly one chunk, and one window past it.
+const CHUNK_EDGE_DENSE_COUNTS: [usize; 3] =
+    [MAX_BATCH_CHUNK - 1, MAX_BATCH_CHUNK, MAX_BATCH_CHUNK + 1];
+
+/// Deterministic stream for laying out one shortcut test case.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A batch of `constant + dense` windows of size `ws` at shuffled
+/// positions. Constant windows repeat 0, ±1, `i16::MIN`, `i16::MAX` or a
+/// random value; dense windows are random and never constant.
+fn mixed_windows(ws: usize, constant: usize, dense: usize, seed: u64) -> Vec<Q15> {
+    let mut state = seed ^ (ws as u64) << 48;
+    let mut dense_flags: Vec<bool> = (0..constant + dense).map(|w| w >= constant).collect();
+    for w in (1..dense_flags.len()).rev() {
+        dense_flags.swap(w, splitmix(&mut state) as usize % (w + 1));
+    }
+    let mut windows = Vec::with_capacity(ws * dense_flags.len());
+    for is_dense in dense_flags {
+        if is_dense {
+            let start = windows.len();
+            windows.extend((0..ws).map(|_| Q15::from_raw(splitmix(&mut state) as i16)));
+            if windows[start..].iter().all(|&s| s == windows[start]) {
+                windows[start + 1] = Q15::from_raw(windows[start].raw() ^ 1);
+            }
+        } else {
+            let r = splitmix(&mut state);
+            let value = [0, 1, -1, i16::MIN, i16::MAX, r as i16][(r >> 32) as usize % 6];
+            windows.extend(std::iter::repeat_n(Q15::from_raw(value), ws));
+        }
+    }
+    windows
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn constant_window_shortcut_matches_oracle_in_mixed_batches(
+        seed in proptest::num::u64::ANY,
+        shape in 0usize..6,
+        constant in 0usize..=MAX_BATCH_CHUNK + 5,
+        random_dense in 1usize..=3 * MAX_BATCH_CHUNK,
+    ) {
+        // The batched forward writes constant windows in closed form and
+        // gathers only the others into SoA chunks, so it must agree with
+        // the dense matrix oracle wherever the two kinds sit and however
+        // the dense windows split into chunks.
+        let (constant, dense) = match shape {
+            0 => (constant, 0),
+            1..=3 => (constant, CHUNK_EDGE_DENSE_COUNTS[shape - 1]),
+            4 => (0, random_dense),
+            _ => (constant, random_dense),
+        };
+        for ws in EQUIV_SIZES {
+            let windows = mixed_windows(ws, constant, dense, seed);
+            let t = IntDct::new(ws).unwrap();
+            let mut oracle = vec![0i32; windows.len()];
+            for (x, o) in windows.chunks_exact(ws).zip(oracle.chunks_exact_mut(ws)) {
+                t.forward_matrix_into(x, o);
+            }
+            let mut batched = vec![0i32; windows.len()];
+            for tier in runnable_tiers() {
+                let mut bp = BatchedIntDctPlan::with_tier(t.clone(), tier);
+                bp.forward_batched_into(&windows, &mut batched);
+                prop_assert_eq!(
+                    &batched, &oracle,
+                    "ws={} constant={} dense={} tier={:?}", ws, constant, dense, tier
+                );
             }
         }
     }
