@@ -280,7 +280,7 @@ fn bench_store_fetch(c: &mut Criterion) {
 
     // The same two fetches with every observability instrument armed:
     // per-variant codec histograms on and a live trace ring attached.
-    // The lock-free hit path carries no instrument at all, so the
+    // The hit path carries no instrument at all, so the
     // `instrumented_hot_fetch_cached` row is self-gated in `main`
     // against this run's own `hot_fetch_cached` — zero-overhead
     // telemetry as a measured claim, not a comment.
@@ -405,16 +405,17 @@ fn bench_reader_open(c: &mut Criterion) {
 }
 
 /// Hand-timed multi-core contention rows (criterion's bencher drives a
-/// single thread): N reader threads hammer lock-free `fetch_cached`
-/// hits on a warmed hot working set while one writer continuously
-/// recalibrates *other* gates of the same store — every insert
-/// republishes that shard's hot snapshot, so the readers ride exactly
-/// the generation flips the RCU path exists for. Returns
+/// single thread): N reader threads hammer `fetch_cached` hits (shard
+/// read lock, map lookup, `Arc` clone) on a warmed hot working set
+/// while one writer continuously recalibrates *other* gates of the
+/// same store — every insert takes its shard's write lock, so a hit on
+/// that shard may wait behind one map write. Returns
 /// `(readers, ns_per_hit, aggregate_hits_per_sec)` rows for N in
 /// {1, 2, 4, 8}. On a single-vCPU runner the aggregate rate stays
 /// roughly flat (threads time-share one core); on real multi-core
-/// hardware it is expected to scale with N because hits share no lock
-/// and no writable cache line beyond the recency stamps.
+/// hardware it is expected to scale with N because hits exclude only
+/// writers, never each other, and write no shared cache line beyond
+/// the shard's read-lock word, clock, counters and recency stamps.
 fn bench_store_contention() -> Vec<(usize, f64, f64)> {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Instant;
@@ -561,7 +562,7 @@ fn main() {
     let open_lazy = ns("reader_open", "lazy_crc").unwrap_or(f64::NAN);
     println!("reader_open_eager_ns: {open_eager:.0}   reader_open_lazy_ns: {open_lazy:.0}");
 
-    // Zero-overhead telemetry headline: the lock-free hit with every
+    // Zero-overhead telemetry headline: the hot hit with every
     // instrument armed, next to the uninstrumented row from this same
     // run (self-gated below).
     let hot_ns = ns("store_fetch", "hot_fetch_cached").unwrap_or(f64::NAN);
@@ -697,8 +698,8 @@ fn main() {
         kernel_floor(format!("forward_batched_ws{ws}"), format!("forward_ws{ws}"));
     }
     kernel_floor("inverse_batched_ws16".to_string(), "inverse_ws16".to_string());
-    // Zero-overhead telemetry gate: the instrumented store's lock-free
-    // hit must stay within this run's own jitter of the uninstrumented
+    // Zero-overhead telemetry gate: the instrumented store's hot hit
+    // must stay within this run's own jitter of the uninstrumented
     // row. Both sides come from the same run (machine drift cancels,
     // no ratchet); the hit path carries no instrument, so anything
     // past the ~30% + 10 ns small-number jitter margin of the shared

@@ -101,9 +101,8 @@ pub fn compress_library_par(
     if fan_out_is_useless(rayon::current_num_threads()) {
         return crate::stats::compress_library(library, compressor);
     }
-    let engine = DecompressionEngine::for_variant(compressor.variant())?;
+    let engine = DecompressionEngine::shared(compressor.variant())?;
     let entries: Vec<_> = library.iter().collect();
-    let engine = &engine;
     let reports: Result<Vec<WaveformReport>, CompressError> = entries
         .par_iter()
         .map_init(
@@ -145,13 +144,12 @@ pub fn compress_library_par(
 pub fn decompress_library(
     compressed: &[CompressedWaveform],
 ) -> Result<(Vec<Waveform>, EngineStats), CompressError> {
-    let engines = engines_for(compressed)?;
     let mut scratch = DecodeScratch::new();
     let (mut i_buf, mut q_buf) = (Vec::new(), Vec::new());
     let mut stats = EngineStats::default();
     let mut out = Vec::with_capacity(compressed.len());
     for z in compressed {
-        let engine = engine_of(&engines, z);
+        let engine = DecompressionEngine::shared(z.variant)?;
         let s = engine.decompress_into(z, &mut scratch, &mut i_buf, &mut q_buf)?;
         stats.merge(&s);
         out.push(crate::engine::checked_waveform(
@@ -162,26 +160,6 @@ pub fn decompress_library(
         )?);
     }
     Ok((out, stats))
-}
-
-/// Builds one shared engine per distinct variant in the batch.
-fn engines_for(
-    compressed: &[CompressedWaveform],
-) -> Result<Vec<(crate::compress::Variant, DecompressionEngine)>, CompressError> {
-    let mut engines: Vec<(crate::compress::Variant, DecompressionEngine)> = Vec::new();
-    for z in compressed {
-        if !engines.iter().any(|(v, _)| *v == z.variant) {
-            engines.push((z.variant, DecompressionEngine::for_variant(z.variant)?));
-        }
-    }
-    Ok(engines)
-}
-
-fn engine_of<'e>(
-    engines: &'e [(crate::compress::Variant, DecompressionEngine)],
-    z: &CompressedWaveform,
-) -> &'e DecompressionEngine {
-    &engines.iter().find(|(v, _)| *v == z.variant).expect("engine prebuilt per variant").1
 }
 
 #[cfg(test)]

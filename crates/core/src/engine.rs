@@ -54,11 +54,12 @@ use crate::CompressError;
 use compaqt_dsp::batched::{BatchedDct, BatchedIntDctPlan};
 use compaqt_dsp::dct::Dct;
 use compaqt_dsp::fixed::Q15;
-use compaqt_dsp::intdct::IntDct;
+use compaqt_dsp::intdct::{IntDct, SUPPORTED_SIZES};
 use compaqt_dsp::plan::DctPlanCache;
 use compaqt_dsp::rle::{CodedWord, RleDecoder};
 use compaqt_pulse::waveform::Waveform;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Operation counts observed while decompressing (per waveform, both
 /// channels).
@@ -348,7 +349,7 @@ impl DecompressionEngine {
             Variant::Delta => (0, InverseStage::None),
             Variant::DctN => (0, InverseStage::None), // built per waveform
             Variant::DctW { ws } => {
-                if !compaqt_dsp::intdct::SUPPORTED_SIZES.contains(&ws) {
+                if !SUPPORTED_SIZES.contains(&ws) {
                     return Err(CompressError::UnsupportedWindow(ws));
                 }
                 let scale = f64::from(1u32 << crate::compress::float_coeff_scale_bits(ws));
@@ -360,6 +361,44 @@ impl DecompressionEngine {
             }
         };
         Ok(DecompressionEngine { variant, window, stage })
+    }
+
+    /// The process-wide engine for `variant`: the one place the
+    /// workspace maps a variant to the engine that decodes it. The
+    /// table has a fixed slot per valid variant (Delta, DCT-N, and one
+    /// DCT-W and one int-DCT-W slot per supported window size); a slot
+    /// is built on first use and shared `&'static` from then on, so a
+    /// lookup after warm-up is an index computation and one atomic
+    /// load. An engine is `&self`-only, so every thread may decode
+    /// through the same one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompressError::UnsupportedWindow`] for bad window sizes
+    /// (the table is left untouched).
+    pub fn shared(variant: Variant) -> Result<&'static DecompressionEngine, CompressError> {
+        const SIZES: usize = SUPPORTED_SIZES.len();
+        static TABLE: [OnceLock<DecompressionEngine>; 2 + 2 * SIZES] =
+            [const { OnceLock::new() }; 2 + 2 * SIZES];
+        let size_slot = |ws: usize| {
+            SUPPORTED_SIZES
+                .iter()
+                .position(|&s| s == ws)
+                .ok_or(CompressError::UnsupportedWindow(ws))
+        };
+        let slot = &TABLE[match variant {
+            Variant::Delta => 0,
+            Variant::DctN => 1,
+            Variant::DctW { ws } => 2 + size_slot(ws)?,
+            Variant::IntDctW { ws } => 2 + SIZES + size_slot(ws)?,
+        }];
+        if let Some(engine) = slot.get() {
+            return Ok(engine);
+        }
+        // Built outside the cell so a construction error leaves the slot
+        // empty; a racing first use builds twice and keeps one.
+        let engine = DecompressionEngine::for_variant(variant)?;
+        Ok(slot.get_or_init(|| engine))
     }
 
     /// The variant this engine decodes.
@@ -798,6 +837,58 @@ mod tests {
     #[test]
     fn rejects_unsupported_window() {
         assert!(DecompressionEngine::for_variant(Variant::IntDctW { ws: 10 }).is_err());
+        for (bad, ws) in [(Variant::IntDctW { ws: 12 }, 12), (Variant::DctW { ws: 0 }, 0)] {
+            let err = DecompressionEngine::shared(bad).unwrap_err();
+            assert_eq!(err, CompressError::UnsupportedWindow(ws), "{bad:?}");
+            // A failed lookup leaves the table usable.
+            let good = DecompressionEngine::shared(Variant::IntDctW { ws: 16 }).unwrap();
+            assert_eq!(good.variant(), Variant::IntDctW { ws: 16 });
+        }
+    }
+
+    /// Delta, DCT-N, and both windowed kinds at every supported size.
+    fn all_variants() -> Vec<Variant> {
+        let mut out = vec![Variant::Delta, Variant::DctN];
+        for ws in SUPPORTED_SIZES {
+            out.push(Variant::DctW { ws });
+            out.push(Variant::IntDctW { ws });
+        }
+        out
+    }
+
+    #[test]
+    fn shared_table_holds_one_engine_per_variant_and_decodes_identically() {
+        // Two threads race the first lookups; every lookup of a variant,
+        // from either thread, must land on the same engine.
+        let per_thread: Vec<Vec<&'static DecompressionEngine>> = std::thread::scope(|scope| {
+            let lookups = || {
+                all_variants()
+                    .into_iter()
+                    .map(|v| DecompressionEngine::shared(v).unwrap())
+                    .collect()
+            };
+            let a = scope.spawn(lookups);
+            let b = scope.spawn(lookups);
+            vec![a.join().unwrap(), b.join().unwrap()]
+        });
+        let wf = x_pulse();
+        for (k, variant) in all_variants().into_iter().enumerate() {
+            let engine = DecompressionEngine::shared(variant).unwrap();
+            assert_eq!(engine.variant(), variant);
+            for engines in &per_thread {
+                assert!(std::ptr::eq(engine, engines[k]), "{variant:?}: one engine per variant");
+            }
+            let z = Compressor::new(variant).compress(&wf).unwrap();
+            let reference = DecompressionEngine::for_variant(variant).unwrap();
+            let mut scratch = DecodeScratch::new();
+            let (mut i, mut q) = (Vec::new(), Vec::new());
+            let (mut ri, mut rq) = (Vec::new(), Vec::new());
+            let stats = engine.decompress_into(&z, &mut scratch, &mut i, &mut q).unwrap();
+            let expect = reference.decompress_into(&z, &mut scratch, &mut ri, &mut rq).unwrap();
+            assert_eq!(ri, i, "{variant:?} I channel");
+            assert_eq!(rq, q, "{variant:?} Q channel");
+            assert_eq!(expect, stats, "{variant:?} stats");
+        }
     }
 
     #[test]

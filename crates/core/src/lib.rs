@@ -28,8 +28,8 @@
 //! * [`batch`] — parallel whole-library compile and the sequential
 //!   whole-library decode.
 //! * [`store`] — the serving path: a sharded concurrent compressed
-//!   waveform store with pooled decode scratch and a hot set of decoded
-//!   waveforms (runtime single-gate fetches, the deployment model of
+//!   waveform store with per-thread decode scratch and a hot set of
+//!   decoded waveforms (runtime single-gate fetches, the deployment model of
 //!   Section IV-A).
 //!
 //! The stored and transferred form of a compressed library is the CWL

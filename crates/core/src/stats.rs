@@ -130,7 +130,7 @@ pub fn compress_library(
     library: &PulseLibrary,
     compressor: &Compressor,
 ) -> Result<LibraryReport, CompressError> {
-    let engine = crate::engine::DecompressionEngine::for_variant(compressor.variant())?;
+    let engine = crate::engine::DecompressionEngine::shared(compressor.variant())?;
     let mut enc = crate::engine::EncodeScratch::new();
     let mut dec = crate::engine::DecodeScratch::new();
     let (mut i_buf, mut q_buf) = (Vec::new(), Vec::new());

@@ -17,31 +17,30 @@
 //! readers of **one shard only**. Gates are routed to shards by
 //! [`GateId::stable_hash`], so the layout is identical on every run.
 //!
-//! Three more pieces make the fetch path cheap:
+//! The shard lock is the store's one synchronization mechanism. Each
+//! map entry carries everything a fetch needs:
 //!
-//! * **Scratch pool** — decoding needs a [`DecodeScratch`]; the store
-//!   keeps a bounded pool (checkout → decode → check in), so N reader
-//!   threads decode with at most N scratches ever built and **zero heap
-//!   allocations** per steady-state [`Store::fetch_into`] (enforced in
-//!   the `alloc_regression` integration test).
-//! * **Hot set** — a bounded LRU of *decoded* waveforms, globally
-//!   budgeted by [`StoreConfig::hot_capacity`] (an honest store-wide
-//!   bound: `hot_len() <= hot_capacity` always, however unevenly the
-//!   gates hash). [`Store::fetch_cached`] returns an `Arc<Waveform>`
-//!   clone on a hit, skipping the RLE + IDCT entirely — the win for
-//!   calibration-critical gates fetched over and over. Each shard's
-//!   hot set is an immutable snapshot published through an RCU-style
-//!   [`ArcSwap`], so a **hit takes no lock at all** — not even the
-//!   shard's read lock — and a queued recalibration writer can never
-//!   stall the hit path. Mutations (parking a miss, eviction,
-//!   invalidation) rebuild the snapshot under the shard's write lock
-//!   and publish it atomically. Recency is an atomic stamp per entry
-//!   shared *across* snapshots (entries are `Arc`ed), so hits keep
-//!   LRU order exact without ever writing to the snapshot itself; the
-//!   recency clock and fetch counters are shard-local, so readers on
-//!   different shards share no atomic cache line at all.
-//! * **Engine registry** — one shared [`DecompressionEngine`] per
-//!   variant, built at insert time, shared `&self` by all readers.
+//! * **Engine** — the `&'static` [`DecompressionEngine`] for the
+//!   stream's variant, resolved once at insert through
+//!   [`DecompressionEngine::shared`].
+//! * **Hot copy** — an optional decoded `Arc<Waveform>` plus an atomic
+//!   recency stamp. The hot set is the set of entries holding one,
+//!   globally budgeted by [`StoreConfig::hot_capacity`] (an honest
+//!   store-wide bound: `hot_len() <= hot_capacity` always, however
+//!   unevenly the gates hash). [`Store::fetch_cached`] returns an
+//!   `Arc<Waveform>` clone on a hit, skipping the RLE + IDCT entirely —
+//!   the win for calibration-critical gates fetched over and over.
+//!   Parking a miss, eviction and invalidation mutate the entry in
+//!   place under the shard's write lock; a hit only reads it under the
+//!   read lock (the recency stamp and the shard's clock and counters
+//!   are atomics, shard-local, so readers on different shards share no
+//!   atomic cache line).
+//!
+//! Decoding needs a [`DecodeScratch`]; each thread keeps one in a
+//! thread-local, so N reader threads decode with at most N scratches
+//! ever built and **zero heap allocations** per steady-state
+//! [`Store::fetch_into`] (enforced in the `alloc_regression`
+//! integration test).
 //!
 //! # `fetch_into` vs `fetch_cached`
 //!
@@ -49,9 +48,9 @@
 //! right call when the caller streams samples onward (DAC staging) and
 //! wants deterministic latency and zero allocation. [`Store::fetch_cached`]
 //! amortizes: the first fetch decodes and parks an `Arc<Waveform>` in the
-//! hot set; repeats are a lock-free snapshot lookup + refcount bump. Use
-//! it for skewed traffic (a few gates dominating fetches); size
-//! [`StoreConfig::hot_capacity`] to that working set.
+//! hot set; repeats are a map lookup under the shard read lock plus a
+//! refcount bump. Use it for skewed traffic (a few gates dominating
+//! fetches); size [`StoreConfig::hot_capacity`] to that working set.
 //!
 //! # Example
 //!
@@ -81,11 +80,11 @@
 use crate::compress::{CompressedWaveform, Compressor, Variant};
 use crate::engine::{DecodeScratch, DecompressionEngine, EncodeScratch, EngineStats};
 use crate::CompressError;
-use arc_swap::ArcSwap;
 use compaqt_obs::{Collect, Histogram, Snapshot, TraceKind, TraceRing};
 use compaqt_pulse::library::{GateId, PulseLibrary};
 use compaqt_pulse::waveform::Waveform;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -115,9 +114,9 @@ pub struct StoreConfig {
     /// in [`Store::from_library_with`]). Off by default: the aggregate
     /// decode histograms are always on (they reuse the timings the
     /// fetch paths already take for [`StoreStats::decode_ns`]), but the
-    /// per-variant breakdown costs one extra engine-table lookup per
-    /// decode, so it is gated. Never affects the lock-free
-    /// [`Store::fetch_cached`] hit path, which records nothing.
+    /// per-variant breakdown costs one extra histogram-table lookup per
+    /// decode, so it is gated. Never affects the [`Store::fetch_cached`]
+    /// hit path, which decodes nothing and records nothing.
     pub codec_metrics: bool,
 }
 
@@ -212,7 +211,7 @@ struct Counters {
 /// Telemetry sidecar of a [`Store`]: log2 latency histograms fed
 /// exclusively from timings the fetch paths already take for
 /// [`StoreStats::decode_ns`] — instrumentation adds **no** extra clock
-/// reads to any fetch path, and nothing at all to the lock-free
+/// reads to any fetch path, and nothing at all to the
 /// [`Store::fetch_cached`] hit path. Recording is a single relaxed
 /// atomic add; reading happens only in [`Store::collect_obs`].
 #[derive(Debug, Default)]
@@ -247,68 +246,57 @@ fn variant_metric_suffix(v: Variant) -> String {
     }
 }
 
-/// One decoded waveform parked in a shard's hot set.
-#[derive(Debug)]
-struct HotEntry {
-    id: GateId,
-    decoded: Arc<Waveform>,
-    /// Recency stamp from the shard clock; atomic so lock-free cache
-    /// *hits* can bump it, and `Arc`-shared across snapshot rebuilds
-    /// so no bump is ever lost to a concurrent republication.
-    last_used: AtomicU64,
+thread_local! {
+    /// This thread's decode working memory, shared by every store.
+    static SCRATCH: RefCell<DecodeScratch> = RefCell::new(DecodeScratch::new());
 }
 
-/// One immutable generation of a shard's hot set, published through
-/// [`ShardSlot::hot`]. Readers clone `Arc<HotEntry>` handles out of
-/// whichever generation they loaded; writers never mutate a published
-/// set — they build a new one (reusing the entry `Arc`s) and swap it
-/// in, so the hit path needs no lock and no retry loop.
-#[derive(Debug, Default)]
-struct HotSet {
-    entries: Vec<Arc<HotEntry>>,
+/// Runs `f` with this thread's decode scratch. No store path calls it
+/// re-entrantly.
+fn with_scratch<R>(f: impl FnOnce(&mut DecodeScratch) -> R) -> R {
+    SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
 }
 
-/// One stored stream plus the shard generation it was inserted at.
+/// One stored stream: its engine, its generation, and its hot copy.
 ///
 /// The generation is what makes the hot set safe against recalibration
 /// races: a cached-fetch miss decodes outside the locks, and may only
 /// park its result if the gate's generation is still the one it read —
-/// a concurrent [`Store::insert`] bumps it, so a stale decode can never
-/// enter the hot set after the insert returned.
+/// a concurrent [`Store::insert`] replaces the entry with a new
+/// generation, so a stale decode can never enter the hot set after the
+/// insert returned.
 #[derive(Debug)]
 struct StoredEntry {
     gen: u64,
     z: CompressedWaveform,
+    /// The shared engine for `z.variant`, resolved at insert.
+    engine: &'static DecompressionEngine,
+    /// The parked decode, if this gate is in the hot set.
+    hot: Option<Arc<Waveform>>,
+    /// Recency stamp from the shard clock; atomic so hits, which hold
+    /// only the read lock, can bump it.
+    last_used: AtomicU64,
 }
 
-/// One shard: the compressed map and its generation counter. The hot
-/// set lives outside the lock (see [`ShardSlot::hot`]).
+/// One shard: the compressed map, its generation counter and the number
+/// of entries holding a hot copy.
 #[derive(Debug, Default)]
 struct Shard {
     map: HashMap<GateId, StoredEntry>,
     /// Monotonic insert counter; source of [`StoredEntry::gen`].
     next_gen: u64,
+    /// Entries of `map` whose `hot` is `Some`.
+    parked: usize,
 }
 
-/// One shard slot: the locked shard state plus its contention-free
-/// sidecars. The hot set, recency clock and fetch counters deliberately
-/// live *outside* the lock and *per shard*: hot hits then touch only
-/// shard-local cache lines and take no lock, so readers hammering
-/// different shards never serialize on a store-wide atomic — and
-/// readers hammering the *same* shard never serialize on its lock
-/// either. (A shard-local clock is exact — LRU eviction only ever
-/// compares entries of the same shard.)
-///
-/// Publication discipline: `hot` is only ever `store`d while holding
-/// `state`'s **write** lock. That makes the write lock the total order
-/// on snapshot generations (no lost updates from racing rebuilds),
-/// while loads stay lock-free.
+/// One shard slot: the locked shard state plus its per-shard recency
+/// clock and fetch counters. Keeping those per shard means readers on
+/// different shards never serialize on a store-wide atomic. (A
+/// shard-local clock is exact — LRU eviction only ever compares entries
+/// of the same shard.)
 #[derive(Debug, Default)]
 struct ShardSlot {
     state: RwLock<Shard>,
-    /// This shard's hot-set snapshot; see the publication discipline
-    /// above.
-    hot: ArcSwap<HotSet>,
     /// This shard's recency clock.
     clock: AtomicU64,
     /// This shard's fetch counters; [`Store::stats`] sums across shards.
@@ -322,8 +310,8 @@ impl ShardSlot {
     }
 }
 
-/// A sharded concurrent `GateId → CompressedWaveform` store with pooled
-/// decode scratch and a bounded hot set of decoded waveforms.
+/// A sharded concurrent `GateId → CompressedWaveform` store with a
+/// bounded hot set of decoded waveforms.
 ///
 /// All methods take `&self`: the store is meant to sit in an `Arc` and
 /// be shared by reader and writer threads alike. See the [module
@@ -339,12 +327,6 @@ pub struct Store {
     /// reservations. Reservation happens *before* a miss parks its
     /// decode, so parked entries can never exceed `hot_capacity`.
     hot_count: AtomicUsize,
-    /// One shared engine per variant seen at insert time.
-    engines: RwLock<Vec<(Variant, DecompressionEngine)>>,
-    /// Bounded checkout pool of decode scratches.
-    scratches: Mutex<Vec<DecodeScratch>>,
-    /// Upper bound on parked scratches (pool pre-allocated to this).
-    scratch_bound: usize,
     /// Whether per-variant codec histograms are recorded.
     codec_metrics: bool,
     /// Latency histograms; see [`StoreMetrics`] for the feeding rules.
@@ -365,26 +347,11 @@ impl Store {
     /// Creates an empty store with the given sizing.
     pub fn new(config: StoreConfig) -> Self {
         let n_shards = config.shards.max(1).next_power_of_two();
-        let shards = (0..n_shards)
-            .map(|_| ShardSlot {
-                state: RwLock::new(Shard { map: HashMap::new(), next_gen: 0 }),
-                // Snapshots grow on demand: any single shard may hold
-                // up to the whole global budget under skewed hashing,
-                // so pre-sizing every shard to it would waste memory.
-                hot: ArcSwap::from_pointee(HotSet::default()),
-                clock: AtomicU64::new(0),
-                counters: Counters::default(),
-            })
-            .collect();
-        let scratch_bound = n_shards.max(8);
         Store {
-            shards,
+            shards: (0..n_shards).map(|_| ShardSlot::default()).collect(),
             shard_mask: (n_shards - 1) as u64,
             hot_capacity: config.hot_capacity,
             hot_count: AtomicUsize::new(0),
-            engines: RwLock::new(Vec::new()),
-            scratches: Mutex::new(Vec::with_capacity(scratch_bound)),
-            scratch_bound,
             codec_metrics: config.codec_metrics,
             metrics: StoreMetrics::default(),
             trace: OnceLock::new(),
@@ -450,10 +417,11 @@ impl Store {
         Ok(store)
     }
 
-    /// Inserts (or replaces) the compressed waveform for a gate and
-    /// drops any stale hot-set copy, so no reader can observe the old
-    /// decode after the insert returns. Concurrent readers of *other*
-    /// gates in the same shard are blocked only for the map write.
+    /// Inserts (or replaces) the compressed waveform for a gate. A
+    /// replaced entry's hot copy goes with it, so no reader can observe
+    /// the old decode after the insert returns. Concurrent readers of
+    /// *other* gates in the same shard are blocked only for the map
+    /// write.
     ///
     /// # Errors
     ///
@@ -461,22 +429,20 @@ impl Store {
     /// variant has no valid decompression engine; the store is
     /// unchanged in that case.
     pub fn insert(&self, id: GateId, z: CompressedWaveform) -> Result<(), CompressError> {
-        // Register the engine before the entry becomes visible: any
-        // reader that can see the stream can also decode it. (Engine and
-        // shard locks are never held together, in either order.)
-        self.ensure_engine(z.variant)?;
+        let engine = DecompressionEngine::shared(z.variant)?;
         let home = self.shard_index(&id);
         let slot = &self.shards[home];
         let mut shard = slot.state.write();
-        self.drop_hot(slot, &mut shard, &id);
-        // The generation bump is what keeps a concurrent cached-fetch
+        // The new generation is what keeps a concurrent cached-fetch
         // miss (decoding the *old* stream outside the locks right now)
         // from parking its stale result after we return.
         shard.next_gen += 1;
         let gen = shard.next_gen;
-        let replaced = shard.map.insert(id, StoredEntry { gen, z }).is_some();
-        drop(shard);
-        if replaced {
+        let entry = StoredEntry { gen, z, engine, hot: None, last_used: AtomicU64::new(0) };
+        let replaced = shard.map.insert(id, entry);
+        if let Some(mut old) = replaced {
+            self.drop_hot(slot, &mut shard.parked, &mut old);
+            drop(shard);
             // A replacement is a recalibration publish; initial loads
             // are not traced (they would drown the ring at store build).
             self.trace_event(TraceKind::RecalibrationPublish, home as u64, gen);
@@ -488,16 +454,16 @@ impl Store {
     /// and refilled), returning the engine's operation counts.
     ///
     /// This is the streaming fetch: it always runs the decoder, through
-    /// a pooled [`DecodeScratch`] — with reused output buffers the
-    /// steady-state call performs **zero heap allocations**. That
-    /// guarantee is why the decode runs under the shard's *read* lock
-    /// (copying the stream out first would allocate): concurrent
-    /// fetches of any gate proceed, but note the stub lock is
-    /// `std`-backed and writer-favoring, so a queued [`Store::insert`]
-    /// on the same shard makes *new* fetches of that shard wait for the
-    /// in-flight decodes to finish. Writes are rare (end of a
-    /// calibration cycle), so this is the right trade for the serving
-    /// loop.
+    /// the calling thread's [`DecodeScratch`] — with reused output
+    /// buffers the steady-state call performs **zero heap
+    /// allocations**. That guarantee is why the decode runs under the
+    /// shard's *read* lock (copying the stream out first would
+    /// allocate): concurrent fetches of any gate proceed, but note the
+    /// stub lock is `std`-backed and writer-favoring, so a queued
+    /// [`Store::insert`] on the same shard makes *new* fetches of that
+    /// shard wait for the in-flight decodes to finish. Writes are rare
+    /// (end of a calibration cycle), so this is the right trade for the
+    /// serving loop.
     ///
     /// # Errors
     ///
@@ -512,19 +478,16 @@ impl Store {
         let slot = &self.shards[self.shard_index(id)];
         let shard = slot.state.read();
         let entry = shard.map.get(id).ok_or_else(|| StoreError::UnknownGate(id.clone()))?;
-        let z = &entry.z;
-        let mut scratch = self.checkout();
         let started = Instant::now();
-        let result = self
-            .with_engine(z.variant, |engine| engine.decompress_into(z, &mut scratch, i_out, q_out));
+        let result =
+            with_scratch(|scratch| entry.engine.decompress_into(&entry.z, scratch, i_out, q_out));
         let elapsed = started.elapsed().as_nanos() as u64;
-        self.checkin(scratch);
         let stats = result?;
         slot.counters.decodes.fetch_add(1, Ordering::Relaxed);
         slot.counters.decode_ns.fetch_add(elapsed, Ordering::Relaxed);
         slot.counters.fetches.fetch_add(1, Ordering::Relaxed);
         self.metrics.decode_ns.record(elapsed);
-        self.record_variant_ns(z.variant, elapsed);
+        self.record_variant_ns(entry.z.variant, elapsed);
         Ok(stats)
     }
 
@@ -536,9 +499,9 @@ impl Store {
     /// acquired **once per batch** and every batch gate living there is
     /// decoded under it, instead of one acquire/release per gate as a
     /// `fetch_into` loop pays — the right call when a schedule hands
-    /// the controller a whole gate list at once. One pooled scratch
-    /// serves the entire batch, so with reused output buffers the
-    /// steady-state call performs zero heap allocations (enforced in
+    /// the controller a whole gate list at once. The calling thread's
+    /// scratch serves the entire batch, so with reused output buffers
+    /// the steady-state call performs zero heap allocations (enforced in
     /// the `alloc_regression` integration test), and the result is
     /// bit-exact with per-gate [`Store::fetch_into`] calls.
     ///
@@ -558,85 +521,72 @@ impl Store {
         outs: &mut [(Vec<f64>, Vec<f64>)],
     ) -> Result<EngineStats, StoreError> {
         assert_eq!(ids.len(), outs.len(), "one output buffer pair per requested gate");
-        let mut scratch = self.checkout();
-        let result = self.fetch_many_with(ids, outs, &mut scratch);
-        self.checkin(scratch);
-        result
-    }
-
-    /// Shard-grouped batch decode through a caller-held scratch; the
-    /// locked inner loop of [`Store::fetch_many`].
-    fn fetch_many_with(
-        &self,
-        ids: &[GateId],
-        outs: &mut [(Vec<f64>, Vec<f64>)],
-        scratch: &mut DecodeScratch,
-    ) -> Result<EngineStats, StoreError> {
-        let mut merged = EngineStats::default();
-        for (s, slot) in self.shards.iter().enumerate() {
-            // One routing hash per (shard, gate); the shard lock is
-            // taken lazily on the first gate that routes here, so
-            // shards the batch never touches are never locked.
-            let mut shard = None;
-            let mut decoded = 0u64;
-            let result = ids
-                .iter()
-                .zip(outs.iter_mut())
-                .filter(|(id, _)| self.shard_index(id) == s)
-                .try_for_each(|(id, (i_out, q_out))| {
-                    let (shard, _) =
-                        shard.get_or_insert_with(|| (slot.state.read(), Instant::now()));
-                    let entry =
-                        shard.map.get(id).ok_or_else(|| StoreError::UnknownGate(id.clone()))?;
-                    let z = &entry.z;
-                    let stats = self.with_engine(z.variant, |engine| {
-                        engine.decompress_into(z, scratch, i_out, q_out)
-                    })?;
-                    merged.merge(&stats);
-                    decoded += 1;
-                    Ok::<(), StoreError>(())
-                });
-            // Exactly one fetches/decodes increment per gate decoded in
-            // this shard — never per lock acquisition. A shard whose
-            // only routed gates were unknown took the lock but decoded
-            // nothing, and must not book time or counts for it.
-            if decoded > 0 {
-                let (_guard, started) = shard.as_ref().expect("decoded gates imply a locked shard");
-                let elapsed = started.elapsed().as_nanos() as u64;
-                slot.counters.decodes.fetch_add(decoded, Ordering::Relaxed);
-                slot.counters.fetches.fetch_add(decoded, Ordering::Relaxed);
-                slot.counters.decode_ns.fetch_add(elapsed, Ordering::Relaxed);
-                // One histogram sample per locked shard batch (the
-                // measured span); a batch crosses variants, so the
-                // per-variant breakdown only covers single-gate paths.
-                self.metrics.decode_ns.record(elapsed);
+        with_scratch(|scratch| {
+            let mut merged = EngineStats::default();
+            for (s, slot) in self.shards.iter().enumerate() {
+                // One routing hash per (shard, gate); the shard lock is
+                // taken lazily on the first gate that routes here, so
+                // shards the batch never touches are never locked.
+                let mut shard = None;
+                let mut decoded = 0u64;
+                let result = ids
+                    .iter()
+                    .zip(outs.iter_mut())
+                    .filter(|(id, _)| self.shard_index(id) == s)
+                    .try_for_each(|(id, (i_out, q_out))| {
+                        let (shard, _) =
+                            shard.get_or_insert_with(|| (slot.state.read(), Instant::now()));
+                        let entry =
+                            shard.map.get(id).ok_or_else(|| StoreError::UnknownGate(id.clone()))?;
+                        let stats =
+                            entry.engine.decompress_into(&entry.z, scratch, i_out, q_out)?;
+                        merged.merge(&stats);
+                        decoded += 1;
+                        Ok::<(), StoreError>(())
+                    });
+                // Exactly one fetches/decodes increment per gate decoded
+                // in this shard — never per lock acquisition. A shard
+                // whose only routed gates were unknown took the lock but
+                // decoded nothing, and must not book time or counts.
+                if decoded > 0 {
+                    let (_guard, started) =
+                        shard.as_ref().expect("decoded gates imply a locked shard");
+                    let elapsed = started.elapsed().as_nanos() as u64;
+                    slot.counters.decodes.fetch_add(decoded, Ordering::Relaxed);
+                    slot.counters.fetches.fetch_add(decoded, Ordering::Relaxed);
+                    slot.counters.decode_ns.fetch_add(elapsed, Ordering::Relaxed);
+                    // One histogram sample per locked shard batch (the
+                    // measured span); a batch crosses variants, so the
+                    // per-variant breakdown only covers single-gate paths.
+                    self.metrics.decode_ns.record(elapsed);
+                }
+                result?;
             }
-            result?;
-        }
-        Ok(merged)
+            Ok(merged)
+        })
     }
 
     /// Fetches one gate's decoded waveform through the hot set.
     ///
-    /// A hit is **lock-free**: one atomic snapshot load, a scan, a
-    /// recency-stamp store and an `Arc` refcount bump — the IDCT is
-    /// skipped entirely and the shard lock is never touched, so a
-    /// queued recalibration writer cannot stall hits (enforced as a
-    /// zero-allocation, no-lock path by the `alloc_regression` and
-    /// `store_concurrency` integration tests). A miss snapshots the
-    /// compressed stream (one clone, under the shard's read lock),
-    /// decodes it **outside every lock** (pooled scratch), parks the
-    /// result in its shard's hot set and returns it. Parking first
-    /// reserves a slot of the **global** [`StoreConfig::hot_capacity`]
-    /// budget, evicting the least recently used entry (home shard
-    /// preferred) when the budget is exhausted — so `hot_len()` never
-    /// exceeds `hot_capacity`, and a working set skewed onto one shard
-    /// still gets the whole budget. The park is generation-checked: if
-    /// the gate was recalibrated while the miss was decoding, the
-    /// now-stale decode is returned to its caller (it was the truth
-    /// when the fetch started) but never cached, so [`Store::insert`]'s
-    /// no-stale-reads guarantee holds: a `fetch_cached` that *begins*
-    /// after an `insert` returns can only observe the new calibration.
+    /// A hit is a map lookup under the shard's **read** lock, a
+    /// recency-stamp store and an `Arc` refcount bump: no decode and no
+    /// allocation (enforced by the `alloc_regression` integration test).
+    /// Hits of one shard run in parallel; a hit waits only behind a
+    /// write to its own shard, one map mutation long (the lock is
+    /// writer-favoring, so a queued writer first waits out that shard's
+    /// in-flight [`Store::fetch_into`] decodes).
+    ///
+    /// A miss clones the compressed stream under the read lock, decodes
+    /// it **outside every lock** and parks the result on its entry.
+    /// Parking first reserves a slot of the **global**
+    /// [`StoreConfig::hot_capacity`] budget, evicting the least recently
+    /// used hot copy (home shard first) when the budget is exhausted —
+    /// so `hot_len()` never exceeds `hot_capacity`, and a working set
+    /// skewed onto one shard still gets the whole budget. The park is
+    /// generation-checked: the decode of a gate recalibrated meanwhile
+    /// is returned (it was the truth when the fetch started) but never
+    /// cached, so a `fetch_cached` that *begins* after an
+    /// [`Store::insert`] returns can only observe the new calibration.
     ///
     /// # Errors
     ///
@@ -645,35 +595,26 @@ impl Store {
     pub fn fetch_cached(&self, id: &GateId) -> Result<Arc<Waveform>, StoreError> {
         let home = self.shard_index(id);
         let slot = &self.shards[home];
-        // Fast path: lock-free snapshot load, shard-local recency bump
-        // and counters, refcount clone. Inserts publish a rebuilt
-        // snapshot before they return, so a hit here is never stale.
-        let snapshot = slot.hot.load_full();
-        if let Some(entry) = snapshot.entries.iter().find(|e| &e.id == id) {
-            entry.last_used.store(slot.tick(), Ordering::Relaxed);
-            slot.counters.hot_hits.fetch_add(1, Ordering::Relaxed);
-            slot.counters.fetches.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(&entry.decoded));
-        }
-        drop(snapshot);
-        let (z, gen) = {
+        let (z, gen, engine) = {
             let shard = slot.state.read();
             let entry = shard.map.get(id).ok_or_else(|| StoreError::UnknownGate(id.clone()))?;
+            if let Some(hot) = &entry.hot {
+                entry.last_used.store(slot.tick(), Ordering::Relaxed);
+                slot.counters.hot_hits.fetch_add(1, Ordering::Relaxed);
+                slot.counters.fetches.fetch_add(1, Ordering::Relaxed);
+                return Ok(Arc::clone(hot));
+            }
             // Snapshot the stream so the (long) decode holds no lock: a
             // cold miss must not stall writers — or, through the
             // writer-favoring std-backed lock, other readers — of this
             // shard. One clone per miss; misses also allocate the
             // waveform itself, so this is not on the zero-alloc path.
-            (entry.z.clone(), entry.gen)
+            (entry.z.clone(), entry.gen, entry.engine)
         };
-        let mut scratch = self.checkout();
         let (mut i, mut q) = (Vec::new(), Vec::new());
         let started = Instant::now();
-        let result = self.with_engine(z.variant, |engine| {
-            engine.decompress_into(&z, &mut scratch, &mut i, &mut q)
-        });
+        let result = with_scratch(|scratch| engine.decompress_into(&z, scratch, &mut i, &mut q));
         let elapsed = started.elapsed().as_nanos() as u64;
-        self.checkin(scratch);
         result?;
         let decoded = Arc::new(crate::engine::checked_waveform(&z.name, i, q, z.sample_rate_gs)?);
         slot.counters.decodes.fetch_add(1, Ordering::Relaxed);
@@ -689,36 +630,34 @@ impl Store {
         // taking the home shard's write lock (eviction may lock any one
         // shard, and no two shard locks are ever held together).
         self.reserve_hot_slot(home);
-        let shard = slot.state.write();
-        // Another reader may have raced us here; keep the first entry
-        // so every caller converges on one shared decode. (The write
-        // lock pins the current snapshot: nobody else can publish while
-        // we hold it.)
-        let current = slot.hot.load_full();
-        if let Some(entry) = current.entries.iter().find(|e| &e.id == id) {
-            entry.last_used.store(slot.tick(), Ordering::Relaxed);
-            let shared = Arc::clone(&entry.decoded);
-            drop(shard);
-            self.hot_count.fetch_sub(1, Ordering::Relaxed); // release unused reservation
-            return Ok(shared);
+        let mut shard = slot.state.write();
+        let Shard { map, parked, .. } = &mut *shard;
+        match map.get_mut(id) {
+            // Another reader raced us here; keep the first decode so
+            // every caller converges on one shared copy.
+            Some(StoredEntry { hot: Some(shared), last_used, .. }) => {
+                last_used.store(slot.tick(), Ordering::Relaxed);
+                let shared = Arc::clone(shared);
+                drop(shard);
+                self.hot_count.fetch_sub(1, Ordering::Relaxed); // release unused reservation
+                Ok(shared)
+            }
+            // The generation pins the exact stream we decoded.
+            Some(entry) if entry.gen == gen => {
+                entry.hot = Some(Arc::clone(&decoded));
+                entry.last_used.store(slot.tick(), Ordering::Relaxed);
+                *parked += 1; // consumes the reservation
+                Ok(decoded)
+            }
+            // Recalibrated (or removed) while we were decoding: parking
+            // the old decode would serve stale samples until the next
+            // invalidation.
+            _ => {
+                drop(shard);
+                self.hot_count.fetch_sub(1, Ordering::Relaxed); // release: stale decode, not parked
+                Ok(decoded)
+            }
         }
-        // The gate may have been recalibrated (or removed) while we
-        // were decoding; parking the old decode would then serve stale
-        // samples until the next invalidation. The generation stamp
-        // pins the exact stream we decoded.
-        if shard.map.get(id).is_some_and(|e| e.gen == gen) {
-            let mut entries = current.entries.clone();
-            entries.push(Arc::new(HotEntry {
-                id: id.clone(),
-                decoded: Arc::clone(&decoded),
-                last_used: AtomicU64::new(slot.tick()),
-            }));
-            slot.hot.store(Arc::new(HotSet { entries })); // consumes the reservation
-        } else {
-            drop(shard);
-            self.hot_count.fetch_sub(1, Ordering::Relaxed); // release: stale decode, not parked
-        }
-        Ok(decoded)
     }
 
     /// Runs `f` with a borrow of one gate's **compressed** stream,
@@ -750,7 +689,8 @@ impl Store {
     pub fn invalidate(&self, id: &GateId) -> bool {
         let slot = &self.shards[self.shard_index(id)];
         let mut shard = slot.state.write();
-        self.drop_hot(slot, &mut shard, id)
+        let Shard { map, parked, .. } = &mut *shard;
+        map.get_mut(id).is_some_and(|entry| self.drop_hot(slot, parked, entry))
     }
 
     /// Removes a gate entirely (compressed stream and hot copy),
@@ -758,35 +698,30 @@ impl Store {
     pub fn remove(&self, id: &GateId) -> Option<CompressedWaveform> {
         let slot = &self.shards[self.shard_index(id)];
         let mut shard = slot.state.write();
-        self.drop_hot(slot, &mut shard, id);
-        shard.map.remove(id).map(|e| e.z)
+        let mut old = shard.map.remove(id)?;
+        self.drop_hot(slot, &mut shard.parked, &mut old);
+        Some(old.z)
     }
 
-    /// Drops the hot-set copy of `id` by publishing a rebuilt snapshot
-    /// without it, counting the invalidation and releasing the entry's
-    /// global hot-budget slot. The `_shard` write guard is the
-    /// publication witness (snapshots may only be stored under the
-    /// shard's write lock). The single removal-accounting site shared
-    /// by insert/invalidate/remove.
-    fn drop_hot(&self, slot: &ShardSlot, _shard: &mut Shard, id: &GateId) -> bool {
-        let current = slot.hot.load_full();
-        if let Some(pos) = current.entries.iter().position(|e| &e.id == id) {
-            let mut entries = current.entries.clone();
-            entries.swap_remove(pos);
-            slot.hot.store(Arc::new(HotSet { entries }));
-            self.hot_count.fetch_sub(1, Ordering::Relaxed);
-            slot.counters.invalidations.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
+    /// Drops `entry`'s hot copy, if any, releasing its global
+    /// hot-budget slot and counting the invalidation. Called under the
+    /// shard's write lock (`parked` is the shard's count); the single
+    /// removal-accounting site shared by insert/invalidate/remove.
+    fn drop_hot(&self, slot: &ShardSlot, parked: &mut usize, entry: &mut StoredEntry) -> bool {
+        if entry.hot.take().is_none() {
+            return false;
         }
+        *parked -= 1;
+        self.hot_count.fetch_sub(1, Ordering::Relaxed);
+        slot.counters.invalidations.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     /// Reserves one slot of the global hot budget, evicting if it is
     /// exhausted. Must be called with **no shard lock held** (eviction
     /// takes one shard write lock at a time, never two), and every
-    /// reservation must later be either consumed by a `hot.push` or
-    /// released with a `hot_count` decrement.
+    /// reservation must later be either consumed by a park or released
+    /// with a `hot_count` decrement.
     fn reserve_hot_slot(&self, home: usize) {
         loop {
             let used = self.hot_count.load(Ordering::Relaxed);
@@ -814,33 +749,30 @@ impl Store {
         }
     }
 
-    /// Evicts the least recently used entry of the first shard, scanning
-    /// from `home`, that has anything parked. Returns `false` if every
-    /// hot set was empty.
+    /// Evicts the least recently used hot copy of the first shard,
+    /// scanning from `home`, that has anything parked. Returns `false`
+    /// if no shard had a hot copy.
     fn evict_one(&self, home: usize) -> bool {
         let n = self.shards.len();
         for k in 0..n {
-            let slot = &self.shards[(home + k) % n];
-            // The write lock is the publication witness: it pins the
-            // current snapshot while the victim is chosen and the
-            // rebuilt set is stored.
-            let _shard = slot.state.write();
-            let current = slot.hot.load_full();
-            let coldest = current
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(pos, _)| pos);
-            if let Some(pos) = coldest {
-                let mut entries = current.entries.clone();
-                let remaining = entries.len() as u64 - 1;
-                entries.swap_remove(pos);
-                slot.hot.store(Arc::new(HotSet { entries }));
-                self.hot_count.fetch_sub(1, Ordering::Relaxed);
-                self.trace_event(TraceKind::HotEviction, ((home + k) % n) as u64, remaining);
-                return true;
+            let s = (home + k) % n;
+            let mut shard = self.shards[s].state.write();
+            if shard.parked == 0 {
+                continue;
             }
+            let Shard { map, parked, .. } = &mut *shard;
+            let coldest = map
+                .values_mut()
+                .filter(|e| e.hot.is_some())
+                .min_by_key(|e| e.last_used.load(Ordering::Relaxed))
+                .expect("parked > 0 implies a hot entry");
+            coldest.hot = None;
+            *parked -= 1;
+            let remaining = *parked as u64;
+            drop(shard);
+            self.hot_count.fetch_sub(1, Ordering::Relaxed);
+            self.trace_event(TraceKind::HotEviction, s as u64, remaining);
+            return true;
         }
         false
     }
@@ -980,10 +912,9 @@ impl Store {
         }
     }
 
-    /// Decoded waveforms currently parked across all hot sets
-    /// (lock-free: sums the published snapshots).
+    /// Decoded waveforms currently parked across all shards.
     pub fn hot_len(&self) -> usize {
-        self.shards.iter().map(|s| s.hot.load_full().entries.len()).sum()
+        self.shards.iter().map(|s| s.state.read().parked).sum()
     }
 
     /// The number of shards (power of two).
@@ -994,45 +925,6 @@ impl Store {
     /// Which shard a gate routes to — stable across runs and machines.
     pub fn shard_index(&self, id: &GateId) -> usize {
         (id.stable_hash() & self.shard_mask) as usize
-    }
-
-    /// Pops a pooled scratch, or builds one (first use per concurrency
-    /// level only).
-    fn checkout(&self) -> DecodeScratch {
-        self.scratches.lock().pop().unwrap_or_default()
-    }
-
-    /// Parks a scratch back in the pool (dropped if the pool is full,
-    /// bounding memory under reader-count spikes).
-    fn checkin(&self, scratch: DecodeScratch) {
-        let mut pool = self.scratches.lock();
-        if pool.len() < self.scratch_bound {
-            pool.push(scratch);
-        }
-    }
-
-    /// Registers the decompression engine for a variant, if new.
-    fn ensure_engine(&self, variant: Variant) -> Result<(), CompressError> {
-        if self.engines.read().iter().any(|(v, _)| *v == variant) {
-            return Ok(());
-        }
-        let engine = DecompressionEngine::for_variant(variant)?;
-        let mut engines = self.engines.write();
-        if !engines.iter().any(|(v, _)| *v == variant) {
-            engines.push((variant, engine));
-        }
-        Ok(())
-    }
-
-    /// Runs `f` with the shared engine for `variant`.
-    fn with_engine<R>(&self, variant: Variant, f: impl FnOnce(&DecompressionEngine) -> R) -> R {
-        let engines = self.engines.read();
-        let engine = engines
-            .iter()
-            .find(|(v, _)| *v == variant)
-            .map(|(_, e)| e)
-            .expect("engine registered before the entry became visible");
-        f(engine)
     }
 }
 
@@ -1493,6 +1385,53 @@ mod tests {
         store.insert(gates[0].clone(), z).unwrap();
         let events = ring.snapshot();
         assert!(events.iter().any(|e| e.kind == TraceKind::RecalibrationPublish && e.a == 0));
+    }
+
+    #[test]
+    fn remove_and_reinsert_release_their_hot_budget_slots() {
+        // A hot copy dropped together with its entry must hand its
+        // budget slot back: a leaked slot would make later parks evict
+        // for room that is really free (and, once every shard is empty,
+        // spin in reserve_hot_slot forever).
+        let lib = library();
+        let compressor = Compressor::new(Variant::IntDctW { ws: 16 });
+        let store = Store::from_library_with(
+            &lib,
+            &compressor,
+            StoreConfig { shards: 1, hot_capacity: 2, ..StoreConfig::default() },
+        )
+        .unwrap();
+        let ring = Arc::new(TraceRing::new(16));
+        assert!(store.attach_trace(Arc::clone(&ring)));
+        let gates = store.gates();
+        let (a, b, c, d) = (&gates[0], &gates[1], &gates[2], &gates[3]);
+        store.fetch_cached(a).unwrap();
+        store.fetch_cached(b).unwrap();
+        assert_eq!(store.hot_len(), 2);
+
+        assert!(store.remove(a).is_some());
+        let z = compressor.compress(lib.get(b).unwrap()).unwrap();
+        store.insert(b.clone(), z).unwrap();
+        assert_eq!(store.hot_len(), 0);
+        assert_eq!(store.stats().invalidations, 2);
+
+        // With both slots leaked these parks would spin with nothing to
+        // evict, so they run on a thread of their own: a leak fails the
+        // test instead of hanging it.
+        let store = Arc::new(store);
+        let (parker, (c, d)) = (Arc::clone(&store), (c.clone(), d.clone()));
+        let (done, parked) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            parker.fetch_cached(&c).unwrap();
+            parker.fetch_cached(&d).unwrap();
+            done.send(()).unwrap();
+        });
+        parked
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("parks spun on leaked hot-budget slots");
+        assert_eq!(store.hot_len(), 2);
+        let evictions = ring.snapshot().iter().filter(|e| e.kind == TraceKind::HotEviction).count();
+        assert_eq!(evictions, 0, "both released slots were free; nothing had to be evicted");
     }
 
     #[test]

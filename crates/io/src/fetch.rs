@@ -10,7 +10,8 @@
 //! first. [`FetchSource`] makes the answers source-generic:
 //!
 //! - [`Store`] answers from its decoded hot set and compressed shards
-//!   (its internal scratch pool makes the `scratch` argument unused).
+//!   (its per-thread decode scratch makes the `scratch` argument
+//!   unused).
 //! - [`Reader`] answers straight from the container bytes — including
 //!   a memory-mapped, lazily-CRC-checked multi-GB library that is
 //!   never resident. Its [`FetchSource::put_stream`] is **zero-parse**:

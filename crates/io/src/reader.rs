@@ -143,9 +143,6 @@ pub struct Reader<'src> {
     /// Library-wide DAC rate from the header (`None` when mixed).
     sample_rate_gs: Option<f64>,
     index: Vec<IndexEntry>,
-    /// One decompression engine per distinct plain/adaptive variant,
-    /// built (and thereby validated) at construction.
-    engines: Vec<(Variant, DecompressionEngine)>,
     /// Payload integrity policy chosen at open.
     validation: ValidationMode,
     /// Lazy-mode verdict bitmaps, one bit per entry, one `u64` word
@@ -311,15 +308,12 @@ impl<'src> Reader<'src> {
             }
         };
 
-        // Decodability: build (and thereby validate) one engine per
-        // distinct plain/adaptive variant; check lapped window sizes.
-        let mut engines: Vec<(Variant, DecompressionEngine)> = Vec::new();
+        // Decodability: every plain/adaptive variant must have an
+        // engine; check lapped window sizes.
         for e in &index {
             match e.kind {
                 PayloadKind::Plain | PayloadKind::Adaptive => {
-                    if !engines.iter().any(|(v, _)| *v == e.variant) {
-                        engines.push((e.variant, DecompressionEngine::for_variant(e.variant)?));
-                    }
+                    DecompressionEngine::shared(e.variant)?;
                 }
                 PayloadKind::Overlap => {
                     let ws = e.variant.window_size().unwrap_or(0);
@@ -336,7 +330,6 @@ impl<'src> Reader<'src> {
             payload_base,
             sample_rate_gs,
             index,
-            engines,
             validation: options.validation,
             crc_ok,
             crc_bad,
@@ -483,13 +476,7 @@ impl<'src> Reader<'src> {
         let mut cur: &[u8] = self.checked_payload(k)?;
         take_plain_into(&mut cur, &mut scratch.slot, &mut scratch.spares)?;
         check_parsed_plain(cur, scratch.slot.variant, e.variant)?;
-        let engine = self
-            .engines
-            .iter()
-            .find(|(v, _)| *v == e.variant)
-            .map(|(_, engine)| engine)
-            .expect("engines built for every plain variant at validation");
-        engine
+        DecompressionEngine::shared(e.variant)?
             .decompress_into(&scratch.slot, &mut scratch.decode, i_out, q_out)
             .map_err(ContainerError::Codec)
     }

@@ -73,7 +73,7 @@ use crate::wire::{
     ReadFrameError, DEFAULT_MAX_FRAME_BYTES, FRAME_HEADER_BYTES, FRAME_TRAILER_BYTES,
 };
 use bytes::{Buf, BufMut, BytesMut};
-use compaqt_core::compress::{CompressedWaveform, Variant};
+use compaqt_core::compress::CompressedWaveform;
 use compaqt_core::engine::{DecodeScratch, DecompressionEngine, EngineStats};
 use compaqt_core::store::Store;
 use compaqt_core::CompressError;
@@ -938,8 +938,6 @@ pub struct Client {
     slot: CompressedWaveform,
     spares: SlotSpares,
     scratch: DecodeScratch,
-    /// One decompression engine per variant seen (built on demand).
-    engines: Vec<(Variant, DecompressionEngine)>,
     max_frame_bytes: u32,
     next_nonce: u64,
 }
@@ -974,7 +972,6 @@ impl Client {
             slot: CompressedWaveform::empty(),
             spares: SlotSpares::default(),
             scratch: DecodeScratch::default(),
-            engines: Vec::new(),
             max_frame_bytes: config.max_frame_bytes,
             next_nonce: 1,
         })
@@ -1052,13 +1049,13 @@ impl Client {
     ) -> Result<EngineStats, ServeError> {
         encode_fetch_gate(&mut self.out, gate).map_err(ProtocolError::from)?;
         self.roundtrip(FrameKind::Gate)?;
-        let Client { read_buf, slot, spares, engines, scratch, .. } = self;
+        let Client { read_buf, slot, spares, scratch, .. } = self;
         let mut payload = &read_buf[FRAME_HEADER_BYTES..read_buf.len() - FRAME_TRAILER_BYTES];
         take_plain_into(&mut payload, slot, spares).map_err(ProtocolError::from)?;
         if !payload.is_empty() {
             return Err(ServeError::Protocol(ProtocolError::TrailingBytes));
         }
-        let engine = Client::engine_for(engines, slot.variant)?;
+        let engine = DecompressionEngine::shared(slot.variant).map_err(ServeError::Codec)?;
         engine.decompress_into(slot, scratch, i_out, q_out).map_err(ServeError::Codec)
     }
 
@@ -1101,7 +1098,7 @@ impl Client {
         assert_eq!(gates.len(), outs.len(), "one output buffer pair per requested gate");
         encode_fetch_many(&mut self.out, gates).map_err(ProtocolError::from)?;
         self.roundtrip(FrameKind::GateBatch)?;
-        let Client { read_buf, slot, spares, engines, scratch, .. } = self;
+        let Client { read_buf, slot, spares, scratch, .. } = self;
         let mut payload = &read_buf[FRAME_HEADER_BYTES..read_buf.len() - FRAME_TRAILER_BYTES];
         if payload.remaining() < 4 {
             return Err(ServeError::Protocol(ProtocolError::Truncated));
@@ -1115,7 +1112,7 @@ impl Client {
         let mut merged = EngineStats::default();
         for (i_out, q_out) in outs.iter_mut() {
             take_plain_into(&mut payload, slot, spares).map_err(ProtocolError::from)?;
-            let engine = Client::engine_for(engines, slot.variant)?;
+            let engine = DecompressionEngine::shared(slot.variant).map_err(ServeError::Codec)?;
             let stats =
                 engine.decompress_into(slot, scratch, i_out, q_out).map_err(ServeError::Codec)?;
             merged.merge(&stats);
@@ -1161,18 +1158,5 @@ impl Client {
         encode_metrics(&mut self.out);
         self.roundtrip(FrameKind::MetricsReport)?;
         Ok(parse_metrics_report(self.payload())?)
-    }
-
-    /// The shared engine for `variant`, built on first sight.
-    fn engine_for(
-        engines: &mut Vec<(Variant, DecompressionEngine)>,
-        variant: Variant,
-    ) -> Result<&DecompressionEngine, ServeError> {
-        if let Some(pos) = engines.iter().position(|(v, _)| *v == variant) {
-            return Ok(&engines[pos].1);
-        }
-        let engine = DecompressionEngine::for_variant(variant).map_err(ServeError::Codec)?;
-        engines.push((variant, engine));
-        Ok(&engines.last().expect("just pushed").1)
     }
 }

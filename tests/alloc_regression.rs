@@ -271,9 +271,9 @@ fn steady_state_library_codec_allocates_nothing() {
     );
 
     // ---- Serving path: steady-state store fetches allocate nothing.
-    // The sharded store adds lock acquisition, engine lookup, scratch
-    // checkout/checkin and counter updates around the same decode — all
-    // of which must stay off the heap. `hot_capacity` is a *global*
+    // The sharded store adds lock acquisition, the map lookup, the
+    // thread-local scratch and counter updates around the same decode —
+    // all of which must stay off the heap. `hot_capacity` is a *global*
     // bound, so sizing it at exactly the library keeps every gate
     // cached even if all of them hash to one shard — steady-state
     // `fetch_cached` is pure hits.
@@ -286,7 +286,7 @@ fn steady_state_library_codec_allocates_nothing() {
     .unwrap();
     let gates = store.gates();
 
-    // Warm-up: size the output buffers, build the pooled scratch, fill
+    // Warm-up: size the output buffers, build this thread's scratch, fill
     // every hot-set slot.
     for _ in 0..2 {
         for gate in &gates {
@@ -320,9 +320,9 @@ fn steady_state_library_codec_allocates_nothing() {
         gates.len()
     );
 
-    // ---- Lock-free hot hits in isolation: a `fetch_cached` hit is one
-    // atomic snapshot load, a scan, a recency stamp and an `Arc`
-    // refcount bump — no shard lock and, pinned here, no heap. (The
+    // ---- Hot hits in isolation: a `fetch_cached` hit is the shard read
+    // lock, one map lookup, a recency stamp and an `Arc` refcount bump
+    // — no decode and, pinned here, no heap. (The
     // mixed loop above interleaves `fetch_into`; this loop is *pure*
     // hit traffic, the path the contention bench scales across cores.)
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -337,12 +337,12 @@ fn steady_state_library_codec_allocates_nothing() {
     assert_eq!(
         delta,
         0,
-        "pure lock-free hot-hit traffic across {} gates x 10 passes must not allocate, saw {delta}",
+        "pure hot-hit traffic across {} gates x 10 passes must not allocate, saw {delta}",
         gates.len()
     );
 
     // ---- Batched serving: `fetch_many` acquires each shard lock once
-    // per batch and runs the whole gate list through one pooled scratch;
+    // per batch and runs the whole gate list through one scratch;
     // with reused output buffer pairs the steady-state batch allocates
     // nothing.
     let mut outs: Vec<(Vec<f64>, Vec<f64>)> = gates.iter().map(|_| Default::default()).collect();

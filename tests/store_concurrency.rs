@@ -181,10 +181,10 @@ mod store {
         }
     }
 
-    /// The lock-free hot path's freshness contract, cross-thread: a
+    /// The hot path's freshness contract, cross-thread: a
     /// `fetch_cached` that *begins* after an `insert` returned must
     /// observe that insert's calibration (or a newer one) — never an
-    /// older decode left in the snapshot. Each round publishes a
+    /// older decode left in the hot set. Each round publishes a
     /// distinct calibration, so a stale hit is distinguishable from a
     /// legitimately-newer one: the observed round may only move
     /// forward from what the reader saw published before fetching.
@@ -319,8 +319,8 @@ mod store {
         #[test]
         fn fetch_into_matches_decompress_into_for_every_variant(xs in smooth_signal(160)) {
             // The store's fetch path is the engine's `_into` path plus
-            // sharding, pooling and accounting — none of which may
-            // perturb a single sample, for any encoding variant.
+            // sharding, the per-thread scratch and accounting — none of
+            // which may perturb a single sample, for any encoding variant.
             let wf = Waveform::from_real("prop", xs, 4.54);
             let store = Store::new(StoreConfig { shards: 2, hot_capacity: 4, ..StoreConfig::default() });
             let mut scratch = DecodeScratch::new();
