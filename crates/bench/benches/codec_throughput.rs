@@ -279,20 +279,13 @@ fn bench_store_fetch(c: &mut Criterion) {
     });
 
     // The same two fetches with every observability instrument armed:
-    // per-variant codec histograms on and a live trace ring attached.
+    // a live trace ring attached (the per-variant codec histograms are
+    // always on).
     // The hit path carries no instrument at all, so the
     // `instrumented_hot_fetch_cached` row is self-gated in `main`
     // against this run's own `hot_fetch_cached` — zero-overhead
     // telemetry as a measured claim, not a comment.
-    let obs_store = Store::from_library_with(
-        &lib,
-        &compressor,
-        compaqt_core::store::StoreConfig {
-            codec_metrics: true,
-            ..compaqt_core::store::StoreConfig::default()
-        },
-    )
-    .unwrap();
+    let obs_store = Store::from_library(&lib, &compressor).unwrap();
     obs_store.attach_trace(std::sync::Arc::new(compaqt_obs::TraceRing::new(256)));
     group.throughput(Throughput::Elements(2 * wf.len() as u64));
     group.bench_function("instrumented_cold_fetch_into", |b| {
@@ -737,7 +730,7 @@ fn main() {
 }
 
 /// Extracts a `"name": 1.234` field from the committed baseline JSON
-/// (hand-rolled: the workspace's serde is a no-op stub).
+/// (hand-rolled: the workspace carries no JSON dependency).
 fn parse_baseline_field(json: &str, name: &str) -> Option<f64> {
     let key = format!("\"{name}\":");
     let start = json.find(&key)? + key.len();

@@ -32,10 +32,9 @@ use compaqt_dsp::fixed::Q15;
 use compaqt_dsp::metrics::CompressionRatio;
 use compaqt_dsp::rle::{CodedWord, RleEncoder};
 use compaqt_pulse::waveform::Waveform;
-use serde::{Deserialize, Serialize};
 
 /// One segment of an adaptively compressed waveform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Segment {
     /// A DCT-compressed region (rise or fall ramp).
     Windows(CompressedWaveform),
@@ -52,7 +51,7 @@ pub enum Segment {
 }
 
 /// An adaptively compressed flat-top waveform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveCompressed {
     /// Waveform name.
     pub name: String,

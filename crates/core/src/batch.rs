@@ -4,133 +4,55 @@
 //! being recompressed and packed into the controller's container
 //! (Figure 6; the CWL container lives in `compaqt-io`). The per-waveform
 //! codec is embarrassingly parallel — each waveform compresses
-//! independently — so the compile side fans the library out across a
-//! rayon thread pool:
+//! independently — so the compile side can fan the library out across
+//! the host's cores:
 //!
-//! * [`compress_waveforms`] / [`compress_library_par`] — the compile
-//!   side; `compress_library_par` is the drop-in parallel twin of
-//!   [`crate::stats::compress_library`], producing an identical
-//!   [`LibraryReport`] (same order, same numbers — the codec is
-//!   deterministic, so parallelism cannot change results). Workers carry
-//!   a private [`EncodeScratch`] (cached transform plans + staging), so
-//!   per-window compression work allocates nothing; only the compressed
-//!   streams each worker returns are allocated.
+//! * [`compress_library_par`] — the compile side, the parallel twin of
+//!   [`crate::stats::compress_library`]: it splits the library into one
+//!   contiguous slice per `available_parallelism()` worker on scoped
+//!   `std` threads and produces an identical [`LibraryReport`] (same
+//!   order, same numbers — both run the same per-waveform body, and the
+//!   codec is deterministic). Each worker carries a private
+//!   [`EncodeScratch`](crate::engine::EncodeScratch) (cached transform
+//!   plans + staging), so per-window compression work allocates
+//!   nothing; only the compressed streams each worker returns are
+//!   allocated. With one worker it spawns nothing and is exactly the
+//!   sequential compile.
 //! * [`decompress_library`] — the decode side, one sequential loop over
 //!   the zero-allocation engine path: one engine per variant, one
 //!   [`DecodeScratch`] and reusable output buffers, so only the final
 //!   sample vectors are allocated. It is sequential because a
 //!   per-waveform x per-channel parallel decoder measured slower than
 //!   this loop on both a 1-vCPU and a 2-vCPU host.
-//!
-//! # `_par` on small machines: the sequential fallback
-//!
-//! Every `_par` entry point degrades to its sequential twin when only
-//! one worker would run (`available_parallelism() == 1`, or
-//! `RAYON_NUM_THREADS=1`): spawning "parallel" workers that time-slice a
-//! single core only adds thread spawn/join overhead and per-item buffer
-//! churn on top of identical arithmetic. The fallback is observable only
-//! in timing — the codec is deterministic, so both paths produce
-//! bit-identical results (the round-trip suites assert `==`).
 
 use crate::compress::{CompressedWaveform, Compressor};
-use crate::engine::{DecodeScratch, DecompressionEngine, EncodeScratch, EngineStats};
-use crate::stats::{LibraryReport, WaveformReport};
+use crate::engine::{DecodeScratch, DecompressionEngine, EngineStats};
+use crate::stats::LibraryReport;
 use crate::CompressError;
 use compaqt_pulse::library::PulseLibrary;
 use compaqt_pulse::waveform::Waveform;
-use rayon::prelude::*;
-
-/// `true` when a `_par` entry point should skip the thread fan-out and
-/// run its sequential twin instead: with a single worker, parallelism
-/// buys nothing and the spawn/join overhead is a pure regression.
-fn fan_out_is_useless(workers: usize) -> bool {
-    workers <= 1
-}
-
-/// Compresses a batch of waveforms in parallel, preserving order.
-///
-/// On a single-worker host this degrades to the sequential
-/// scratch-reuse loop (see the module docs); results are bit-identical
-/// either way.
-///
-/// # Errors
-///
-/// Returns the first compression error (none occur for supported window
-/// sizes).
-pub fn compress_waveforms(
-    waveforms: &[Waveform],
-    compressor: &Compressor,
-) -> Result<Vec<CompressedWaveform>, CompressError> {
-    if fan_out_is_useless(rayon::current_num_threads()) {
-        let mut enc = EncodeScratch::new();
-        let mut out = Vec::with_capacity(waveforms.len());
-        for wf in waveforms {
-            let mut z = CompressedWaveform::empty();
-            compressor.compress_into(wf, &mut enc, &mut z)?;
-            out.push(z);
-        }
-        return Ok(out);
-    }
-    waveforms
-        .par_iter()
-        .map_init(EncodeScratch::new, |enc, wf| {
-            let mut z = CompressedWaveform::empty();
-            compressor.compress_into(wf, enc, &mut z)?;
-            Ok(z)
-        })
-        .collect()
-}
 
 /// Parallel twin of [`crate::stats::compress_library`]: compresses every
-/// waveform of a library across worker threads and aggregates the same
-/// [`LibraryReport`] (library order, identical numbers).
+/// waveform of a library across one worker thread per available core
+/// and aggregates the same [`LibraryReport`] (library order, identical
+/// numbers).
 ///
 /// Each worker verifies its own streams through the zero-allocation
 /// decode path with a thread-private scratch, so the reconstruction-MSE
-/// accounting adds no per-window allocations. On a single-worker host
-/// this is literally [`crate::stats::compress_library`] (sequential
-/// fallback, identical report).
+/// accounting adds no per-window allocations. On a single-core host
+/// this spawns nothing and is literally the sequential compile.
 ///
 /// # Errors
 ///
-/// Propagates the first compression or decode error.
+/// Returns [`CompressError::EmptyLibrary`] for a library with no
+/// waveforms, and otherwise propagates the first compression or decode
+/// error.
 pub fn compress_library_par(
     library: &PulseLibrary,
     compressor: &Compressor,
 ) -> Result<LibraryReport, CompressError> {
-    if fan_out_is_useless(rayon::current_num_threads()) {
-        return crate::stats::compress_library(library, compressor);
-    }
-    let engine = DecompressionEngine::shared(compressor.variant())?;
-    let entries: Vec<_> = library.iter().collect();
-    let reports: Result<Vec<WaveformReport>, CompressError> = entries
-        .par_iter()
-        .map_init(
-            || (EncodeScratch::new(), DecodeScratch::new(), Vec::new(), Vec::new()),
-            |(enc, scratch, i_buf, q_buf), &(gate, wf)| {
-                let mut compressed = CompressedWaveform::empty();
-                compressor.compress_into(wf, enc, &mut compressed)?;
-                engine.decompress_into(&compressed, scratch, i_buf, q_buf)?;
-                let mse = (compaqt_dsp::metrics::mse(wf.i(), i_buf)
-                    + compaqt_dsp::metrics::mse(wf.q(), q_buf))
-                    / 2.0;
-                Ok(WaveformReport {
-                    gate: gate.clone(),
-                    ratio: compressed.ratio().ratio(),
-                    mse,
-                    worst_case_window_words: compressed.worst_case_window_words(),
-                    compressed,
-                })
-            },
-        )
-        .collect();
-    let waveforms = reports?;
-    let overall = waveforms
-        .iter()
-        .map(|w| w.compressed.ratio())
-        .reduce(|acc, r| acc.combine(&r))
-        .expect("library must be non-empty");
-    Ok(LibraryReport { waveforms, overall })
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    crate::stats::compile_library(library, compressor, workers)
 }
 
 /// Sequentially decodes a batch of compressed waveforms through one
@@ -206,17 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn compress_waveforms_preserves_order() {
-        let lib = library();
-        let wfs: Vec<Waveform> = lib.iter().map(|(_, wf)| wf.clone()).collect();
-        let c = Compressor::new(Variant::IntDctW { ws: 8 });
-        let batch = compress_waveforms(&wfs, &c).unwrap();
-        for (wf, z) in wfs.iter().zip(&batch) {
-            assert_eq!(&c.compress(wf).unwrap(), z);
-        }
-    }
-
-    #[test]
     fn unsupported_variant_errors_cleanly() {
         let lib = library();
         let c = Compressor::new(Variant::IntDctW { ws: 12 });
@@ -224,12 +135,38 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_guard_trips_only_on_a_single_worker() {
-        // The sequential fallback must engage exactly when one worker
-        // would run — the case where thread spawn/join is pure overhead.
-        assert!(fan_out_is_useless(0));
-        assert!(fan_out_is_useless(1));
-        assert!(!fan_out_is_useless(2));
-        assert!(!fan_out_is_useless(64));
+    fn empty_library_is_a_typed_error() {
+        let empty = PulseLibrary::new();
+        let c = Compressor::new(Variant::IntDctW { ws: 16 });
+        assert_eq!(compress_library(&empty, &c).unwrap_err(), CompressError::EmptyLibrary);
+        assert_eq!(compress_library_par(&empty, &c).unwrap_err(), CompressError::EmptyLibrary);
+    }
+
+    #[test]
+    fn every_worker_count_matches_the_sequential_report() {
+        // A library length that 2, 3 and len + 1 workers all leave a
+        // ragged (or empty) last slice on.
+        let full = library();
+        let mut len = full.len();
+        while len.is_multiple_of(2) || len.is_multiple_of(3) {
+            len -= 1;
+        }
+        let mut lib = PulseLibrary::new();
+        for (gate, wf) in full.iter().take(len) {
+            lib.insert(gate.clone(), wf.clone());
+        }
+        let c = Compressor::new(Variant::IntDctW { ws: 16 });
+        let seq = compress_library(&lib, &c).unwrap();
+        for workers in [1, 2, 3, len + 1] {
+            let par = crate::stats::compile_library(&lib, &c, workers).unwrap();
+            assert_eq!(par.overall, seq.overall, "{workers} workers: overall ratio");
+            assert_eq!(par.waveforms.len(), len, "{workers} workers");
+            for (a, b) in seq.waveforms.iter().zip(&par.waveforms) {
+                assert_eq!(a.gate, b.gate, "{workers} workers: library order");
+                assert_eq!(a.compressed, b.compressed, "{workers} workers: {}", a.gate);
+                assert_eq!(a.mse.to_bits(), b.mse.to_bits(), "{workers} workers: {}", a.gate);
+                assert_eq!(a.ratio.to_bits(), b.ratio.to_bits(), "{workers} workers: {}", a.gate);
+            }
+        }
     }
 }

@@ -14,14 +14,13 @@ use crate::CompressError;
 use compaqt_dsp::metrics::Summary;
 use compaqt_pulse::device::Device;
 use compaqt_pulse::library::GateId;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// A fully compressed pulse library: one coded stream per gate.
 pub type CompressedLibrary = Vec<(GateId, CompressedWaveform)>;
 
 /// Result of recompressing one calibration cycle's library.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CycleReport {
     /// Cycle index.
     pub cycle: usize,

@@ -74,7 +74,6 @@ use compaqt_dsp::metrics::CompressionRatio;
 use compaqt_dsp::rle::{CodedWord, RleCodeword, MAX_COEFF, MIN_COEFF};
 use compaqt_dsp::threshold::ThresholdSchedule;
 use compaqt_pulse::waveform::Waveform;
-use serde::{Deserialize, Serialize};
 
 /// Bytes per stored word (all streams use 16-bit words).
 pub const WORD_BYTES: usize = 2;
@@ -83,7 +82,7 @@ pub const WORD_BYTES: usize = 2;
 pub const SAMPLE_BYTES: usize = 4;
 
 /// A compression variant (Table II plus the delta baseline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Variant {
     /// Base-delta compression of raw samples.
     Delta,
@@ -155,7 +154,7 @@ pub(crate) fn int_threshold(threshold: f64, ws: usize) -> i32 {
 }
 
 /// One compressed channel (I or Q).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ChannelData {
     /// Windowed coded streams: one word list per transform window.
     Windows(Vec<Vec<CodedWord>>),
@@ -202,7 +201,7 @@ impl ChannelData {
 
 /// A compressed waveform: both channels plus enough metadata to
 /// reconstruct and to account storage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompressedWaveform {
     /// Waveform name (copied from the source).
     pub name: String,

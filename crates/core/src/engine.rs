@@ -58,12 +58,11 @@ use compaqt_dsp::intdct::{IntDct, SUPPORTED_SIZES};
 use compaqt_dsp::plan::DctPlanCache;
 use compaqt_dsp::rle::{CodedWord, RleDecoder};
 use compaqt_pulse::waveform::Waveform;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Operation counts observed while decompressing (per waveform, both
 /// channels).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// 16-bit words fetched from compressed waveform memory.
     pub memory_words_read: usize,
@@ -327,6 +326,37 @@ enum InverseStage {
     Integer(IntDct),
 }
 
+/// Number of valid variants: Delta, DCT-N, and one DCT-W and one
+/// int-DCT-W per supported window size.
+pub(crate) const VARIANT_SLOTS: usize = 2 + 2 * SUPPORTED_SIZES.len();
+
+/// The dense index of a valid variant in `0..VARIANT_SLOTS` — the one
+/// variant numbering behind every per-variant table (the shared engine
+/// table here, the store's per-variant decode histograms).
+///
+/// # Errors
+///
+/// Returns [`CompressError::UnsupportedWindow`] for bad window sizes.
+pub(crate) fn variant_slot(variant: Variant) -> Result<usize, CompressError> {
+    let size_slot = |ws: usize| {
+        SUPPORTED_SIZES.iter().position(|&s| s == ws).ok_or(CompressError::UnsupportedWindow(ws))
+    };
+    Ok(match variant {
+        Variant::Delta => 0,
+        Variant::DctN => 1,
+        Variant::DctW { ws } => 2 + size_slot(ws)?,
+        Variant::IntDctW { ws } => 2 + SUPPORTED_SIZES.len() + size_slot(ws)?,
+    })
+}
+
+/// Every valid variant, in [`variant_slot`] order.
+pub(crate) fn valid_variants() -> impl Iterator<Item = Variant> {
+    [Variant::Delta, Variant::DctN]
+        .into_iter()
+        .chain(SUPPORTED_SIZES.into_iter().map(|ws| Variant::DctW { ws }))
+        .chain(SUPPORTED_SIZES.into_iter().map(|ws| Variant::IntDctW { ws }))
+}
+
 /// A modelled decompression engine for one variant.
 #[derive(Debug, Clone)]
 pub struct DecompressionEngine {
@@ -377,21 +407,9 @@ impl DecompressionEngine {
     /// Returns [`CompressError::UnsupportedWindow`] for bad window sizes
     /// (the table is left untouched).
     pub fn shared(variant: Variant) -> Result<&'static DecompressionEngine, CompressError> {
-        const SIZES: usize = SUPPORTED_SIZES.len();
-        static TABLE: [OnceLock<DecompressionEngine>; 2 + 2 * SIZES] =
-            [const { OnceLock::new() }; 2 + 2 * SIZES];
-        let size_slot = |ws: usize| {
-            SUPPORTED_SIZES
-                .iter()
-                .position(|&s| s == ws)
-                .ok_or(CompressError::UnsupportedWindow(ws))
-        };
-        let slot = &TABLE[match variant {
-            Variant::Delta => 0,
-            Variant::DctN => 1,
-            Variant::DctW { ws } => 2 + size_slot(ws)?,
-            Variant::IntDctW { ws } => 2 + SIZES + size_slot(ws)?,
-        }];
+        static TABLE: [OnceLock<DecompressionEngine>; VARIANT_SLOTS] =
+            [const { OnceLock::new() }; VARIANT_SLOTS];
+        let slot = &TABLE[variant_slot(variant)?];
         if let Some(engine) = slot.get() {
             return Ok(engine);
         }
@@ -846,14 +864,10 @@ mod tests {
         }
     }
 
-    /// Delta, DCT-N, and both windowed kinds at every supported size.
-    fn all_variants() -> Vec<Variant> {
-        let mut out = vec![Variant::Delta, Variant::DctN];
-        for ws in SUPPORTED_SIZES {
-            out.push(Variant::DctW { ws });
-            out.push(Variant::IntDctW { ws });
-        }
-        out
+    #[test]
+    fn variant_slots_are_dense_and_match_the_enumeration() {
+        let slots: Vec<usize> = valid_variants().map(|v| variant_slot(v).unwrap()).collect();
+        assert_eq!(slots, (0..VARIANT_SLOTS).collect::<Vec<_>>());
     }
 
     #[test]
@@ -861,18 +875,14 @@ mod tests {
         // Two threads race the first lookups; every lookup of a variant,
         // from either thread, must land on the same engine.
         let per_thread: Vec<Vec<&'static DecompressionEngine>> = std::thread::scope(|scope| {
-            let lookups = || {
-                all_variants()
-                    .into_iter()
-                    .map(|v| DecompressionEngine::shared(v).unwrap())
-                    .collect()
-            };
+            let lookups =
+                || valid_variants().map(|v| DecompressionEngine::shared(v).unwrap()).collect();
             let a = scope.spawn(lookups);
             let b = scope.spawn(lookups);
             vec![a.join().unwrap(), b.join().unwrap()]
         });
         let wf = x_pulse();
-        for (k, variant) in all_variants().into_iter().enumerate() {
+        for (k, variant) in valid_variants().enumerate() {
             let engine = DecompressionEngine::shared(variant).unwrap();
             assert_eq!(engine.variant(), variant);
             for engines in &per_thread {

@@ -100,6 +100,9 @@ pub enum CompressError {
     /// The waveform has no flat-top plateau long enough for adaptive
     /// compression.
     NoPlateau,
+    /// A whole-library compile was handed a library with no waveforms
+    /// (a report needs at least one to state an overall ratio).
+    EmptyLibrary,
 }
 
 impl fmt::Display for CompressError {
@@ -126,6 +129,7 @@ impl fmt::Display for CompressError {
             CompressError::NoPlateau => {
                 write!(f, "waveform has no flat-top plateau for adaptive compression")
             }
+            CompressError::EmptyLibrary => write!(f, "cannot compile an empty pulse library"),
         }
     }
 }

@@ -13,13 +13,12 @@
 
 use crate::compress::{ChannelData, CompressedWaveform};
 use compaqt_dsp::rle::CodedWord;
-use serde::{Deserialize, Serialize};
 
 /// Capacity of one BRAM in bits (Xilinx RAMB36).
 pub const BRAM_BITS: usize = 36 * 1024;
 
 /// A handle to one stored channel inside the banked memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelHandle {
     /// Index of the first bank of this channel's bank group.
     pub first_bank: usize,
@@ -37,7 +36,7 @@ pub struct ChannelHandle {
 /// Words of window `w` are striped across the bank group one word per
 /// bank, so a whole window is fetched in a single FPGA cycle
 /// (Figure 12b/c).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BankedMemory {
     banks: Vec<Vec<u16>>,
 }

@@ -36,11 +36,10 @@ use compaqt_dsp::dct::Dct;
 use compaqt_dsp::metrics::CompressionRatio;
 use compaqt_dsp::rle::{CodedWord, RleCodeword, RleDecoder};
 use compaqt_pulse::waveform::Waveform;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
 /// An overlapped-window compressed waveform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverlapCompressed {
     /// Waveform name.
     pub name: String,

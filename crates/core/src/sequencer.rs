@@ -14,12 +14,11 @@ use crate::engine::{DecompressionEngine, EngineStats};
 use crate::memory::{banks_per_channel, BankedMemory, ChannelHandle};
 use crate::CompressError;
 use compaqt_pulse::library::{GateId, PulseLibrary};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Static configuration of a controller's waveform-memory system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControllerConfig {
     /// Total memory banks available for waveform streaming.
     pub total_banks: usize,
@@ -37,7 +36,7 @@ impl Default for ControllerConfig {
 }
 
 /// One sequencer instruction: fire a gate's waveform at a start time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Instruction {
     /// Which waveform to play.
     pub gate: GateId,
@@ -47,7 +46,7 @@ pub struct Instruction {
 
 /// A waveform's residency in the controller: its two channel handles and
 /// stream metadata.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Residency {
     i: ChannelHandle,
     q: ChannelHandle,
@@ -57,7 +56,7 @@ struct Residency {
 }
 
 /// Outcome of playing a schedule on the controller.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunReport {
     /// Gates issued.
     pub instructions: usize,

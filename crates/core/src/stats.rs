@@ -7,15 +7,16 @@
 //! (Figure 11).
 
 use crate::compress::{CompressedWaveform, Compressor};
+use crate::engine::{DecodeScratch, DecompressionEngine, EncodeScratch};
 use crate::store::Store;
 use crate::CompressError;
 use compaqt_dsp::metrics::{CompressionRatio, Summary};
 use compaqt_pulse::library::{GateId, GateKind, PulseLibrary};
-use serde::{Deserialize, Serialize};
+use compaqt_pulse::waveform::Waveform;
 use std::collections::BTreeMap;
 
 /// Compression outcome for one waveform.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WaveformReport {
     /// Which gate the waveform implements.
     pub gate: GateId,
@@ -30,7 +31,7 @@ pub struct WaveformReport {
 }
 
 /// Compression outcome for a whole pulse library.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LibraryReport {
     /// Per-waveform outcomes (library order).
     pub waveforms: Vec<WaveformReport>,
@@ -119,45 +120,87 @@ impl LibraryReport {
 /// so per-window work allocates nothing; only the per-waveform
 /// compressed streams the report owns are allocated.
 ///
-/// [`EncodeScratch`]: crate::engine::EncodeScratch
-/// [`DecodeScratch`]: crate::engine::DecodeScratch
-///
 /// # Errors
 ///
-/// Propagates the first compression error (none occur for supported
-/// window sizes).
+/// Returns [`CompressError::EmptyLibrary`] for a library with no
+/// waveforms, and otherwise propagates the first compression error
+/// (none occur for supported window sizes).
 pub fn compress_library(
     library: &PulseLibrary,
     compressor: &Compressor,
 ) -> Result<LibraryReport, CompressError> {
-    let engine = crate::engine::DecompressionEngine::shared(compressor.variant())?;
-    let mut enc = crate::engine::EncodeScratch::new();
-    let mut dec = crate::engine::DecodeScratch::new();
-    let (mut i_buf, mut q_buf) = (Vec::new(), Vec::new());
-    let mut waveforms = Vec::with_capacity(library.len());
-    let mut overall: Option<CompressionRatio> = None;
-    for (gate, wf) in library.iter() {
-        let mut compressed = CompressedWaveform::empty();
-        compressor.compress_into(wf, &mut enc, &mut compressed)?;
-        engine.decompress_into(&compressed, &mut dec, &mut i_buf, &mut q_buf)?;
-        let mse = (compaqt_dsp::metrics::mse(wf.i(), &i_buf)
-            + compaqt_dsp::metrics::mse(wf.q(), &q_buf))
-            / 2.0;
-        let ratio = compressed.ratio();
-        overall = Some(match overall {
-            Some(acc) => acc.combine(&ratio),
-            None => ratio,
-        });
-        waveforms.push(WaveformReport {
-            gate: gate.clone(),
-            ratio: ratio.ratio(),
-            mse,
-            worst_case_window_words: compressed.worst_case_window_words(),
-            compressed,
-        });
+    compile_library(library, compressor, 1)
+}
+
+/// The one library compile behind [`compress_library`] and
+/// [`crate::batch::compress_library_par`]: the library is split into
+/// one contiguous slice per worker, each slice runs [`compile_slice`]
+/// (the first on the calling thread, the rest on scoped threads), and
+/// the reports are joined back in library order. `workers <= 1` runs
+/// the whole library on the calling thread and spawns nothing. The
+/// codec is deterministic, so the report is bit-identical for every
+/// worker count.
+pub(crate) fn compile_library(
+    library: &PulseLibrary,
+    compressor: &Compressor,
+    workers: usize,
+) -> Result<LibraryReport, CompressError> {
+    if library.is_empty() {
+        return Err(CompressError::EmptyLibrary);
     }
-    let overall = overall.expect("library must be non-empty");
+    let engine = DecompressionEngine::shared(compressor.variant())?;
+    let entries: Vec<(&GateId, &Waveform)> = library.iter().collect();
+    let mut slices = entries.chunks(entries.len().div_ceil(workers.max(1)));
+    let first = slices.next().unwrap_or_default();
+    let waveforms = std::thread::scope(|scope| {
+        let rest: Vec<_> = slices
+            .map(|slice| scope.spawn(move || compile_slice(slice, compressor, engine)))
+            .collect();
+        let mut waveforms = compile_slice(first, compressor, engine)?;
+        for worker in rest {
+            let reports = worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            waveforms.extend(reports?);
+        }
+        Ok::<_, CompressError>(waveforms)
+    })?;
+    let overall = waveforms
+        .iter()
+        .map(|w| w.compressed.ratio())
+        .reduce(|acc, r| acc.combine(&r))
+        .ok_or(CompressError::EmptyLibrary)?;
     Ok(LibraryReport { waveforms, overall })
+}
+
+/// The per-waveform compile body: compress, verify-decode through the
+/// shared engine, score the reconstruction MSE, report. One
+/// [`EncodeScratch`], one [`DecodeScratch`] and one pair of sample
+/// buffers serve the whole slice.
+fn compile_slice(
+    entries: &[(&GateId, &Waveform)],
+    compressor: &Compressor,
+    engine: &DecompressionEngine,
+) -> Result<Vec<WaveformReport>, CompressError> {
+    let mut enc = EncodeScratch::new();
+    let mut dec = DecodeScratch::new();
+    let (mut i_buf, mut q_buf) = (Vec::new(), Vec::new());
+    entries
+        .iter()
+        .map(|&(gate, wf)| {
+            let mut compressed = CompressedWaveform::empty();
+            compressor.compress_into(wf, &mut enc, &mut compressed)?;
+            engine.decompress_into(&compressed, &mut dec, &mut i_buf, &mut q_buf)?;
+            let mse = (compaqt_dsp::metrics::mse(wf.i(), &i_buf)
+                + compaqt_dsp::metrics::mse(wf.q(), &q_buf))
+                / 2.0;
+            Ok(WaveformReport {
+                gate: gate.clone(),
+                ratio: compressed.ratio().ratio(),
+                mse,
+                worst_case_window_words: compressed.worst_case_window_words(),
+                compressed,
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -78,9 +78,12 @@
 //! ```
 
 use crate::compress::{CompressedWaveform, Compressor, Variant};
-use crate::engine::{DecodeScratch, DecompressionEngine, EncodeScratch, EngineStats};
+use crate::engine::{
+    valid_variants, variant_slot, DecodeScratch, DecompressionEngine, EncodeScratch, EngineStats,
+    VARIANT_SLOTS,
+};
 use crate::CompressError;
-use compaqt_obs::{Collect, Histogram, Snapshot, TraceKind, TraceRing};
+use compaqt_obs::{Histogram, Snapshot, TraceKind, TraceRing};
 use compaqt_pulse::library::{GateId, PulseLibrary};
 use compaqt_pulse::waveform::Waveform;
 use parking_lot::RwLock;
@@ -110,22 +113,13 @@ pub struct StoreConfig {
     /// disables the hot set: [`Store::fetch_cached`] then decodes on
     /// every call.
     pub hot_capacity: usize,
-    /// Opt-in per-codec-variant latency histograms (and encode timing
-    /// in [`Store::from_library_with`]). Off by default: the aggregate
-    /// decode histograms are always on (they reuse the timings the
-    /// fetch paths already take for [`StoreStats::decode_ns`]), but the
-    /// per-variant breakdown costs one extra histogram-table lookup per
-    /// decode, so it is gated. Never affects the [`Store::fetch_cached`]
-    /// hit path, which decodes nothing and records nothing.
-    pub codec_metrics: bool,
 }
 
 impl Default for StoreConfig {
     /// 16 shards, 64 hot waveforms: comfortable for a ~100-qubit
-    /// machine's calibration-critical working set. Per-variant codec
-    /// metrics are off.
+    /// machine's calibration-critical working set.
     fn default() -> Self {
-        StoreConfig { shards: 16, hot_capacity: 64, codec_metrics: false }
+        StoreConfig { shards: 16, hot_capacity: 64 }
     }
 }
 
@@ -224,15 +218,12 @@ struct StoreMetrics {
     /// nothing by design.
     miss_decode_ns: Histogram,
     /// Library-encode latency per waveform, populated by
-    /// [`Store::from_library_with`] when [`StoreConfig::codec_metrics`]
-    /// is set.
+    /// [`Store::from_library_with`].
     encode_ns: Histogram,
     /// Per-variant decode latency (single-gate paths only — a batch
-    /// sample spans variants), populated when
-    /// [`StoreConfig::codec_metrics`] is set. Grows by at most one row
-    /// per variant ever decoded; rows are recorded under the read lock,
-    /// so steady state never allocates.
-    variant_decode_ns: RwLock<Vec<(Variant, Histogram)>>,
+    /// sample spans variants), indexed by [`variant_slot`]: recording
+    /// is one relaxed add, with no lock and no allocation.
+    variant_decode_ns: [Histogram; VARIANT_SLOTS],
 }
 
 /// Metric-name suffix for a codec variant: lowercase, `[a-z0-9_]` only,
@@ -327,8 +318,6 @@ pub struct Store {
     /// reservations. Reservation happens *before* a miss parks its
     /// decode, so parked entries can never exceed `hot_capacity`.
     hot_count: AtomicUsize,
-    /// Whether per-variant codec histograms are recorded.
-    codec_metrics: bool,
     /// Latency histograms; see [`StoreMetrics`] for the feeding rules.
     metrics: StoreMetrics,
     /// Optional event ring ([`Store::attach_trace`]); checked with one
@@ -352,7 +341,6 @@ impl Store {
             shard_mask: (n_shards - 1) as u64,
             hot_capacity: config.hot_capacity,
             hot_count: AtomicUsize::new(0),
-            codec_metrics: config.codec_metrics,
             metrics: StoreMetrics::default(),
             trace: OnceLock::new(),
         }
@@ -387,11 +375,9 @@ impl Store {
         let mut enc = EncodeScratch::new();
         for (gate, wf) in library.iter() {
             let mut z = CompressedWaveform::empty();
-            let started = config.codec_metrics.then(Instant::now);
+            let started = Instant::now();
             compressor.compress_into(wf, &mut enc, &mut z)?;
-            if let Some(t) = started {
-                store.metrics.encode_ns.record(t.elapsed().as_nanos() as u64);
-            }
+            store.metrics.encode_ns.record(started.elapsed().as_nanos() as u64);
             store.insert(gate.clone(), z)?;
         }
         Ok(store)
@@ -813,38 +799,20 @@ impl Store {
         }
     }
 
-    /// Records a per-variant decode sample when
-    /// [`StoreConfig::codec_metrics`] is on. The row is created on the
-    /// variant's first decode (one allocation, write lock); every later
-    /// sample finds it under the read lock and records with a single
-    /// relaxed atomic add — steady state stays allocation-free.
+    /// Records a per-variant decode sample. Every stored variant has a
+    /// slot: [`Store::insert`] admits only variants with an engine.
     fn record_variant_ns(&self, variant: Variant, ns: u64) {
-        if !self.codec_metrics {
-            return;
-        }
-        {
-            let table = self.metrics.variant_decode_ns.read();
-            if let Some((_, h)) = table.iter().find(|(v, _)| *v == variant) {
-                h.record(ns);
-                return;
-            }
-        }
-        let mut table = self.metrics.variant_decode_ns.write();
-        if !table.iter().any(|(v, _)| *v == variant) {
-            table.push((variant, Histogram::new()));
-        }
-        if let Some((_, h)) = table.iter().find(|(v, _)| *v == variant) {
-            h.record(ns);
+        if let Ok(slot) = variant_slot(variant) {
+            self.metrics.variant_decode_ns[slot].record(ns);
         }
     }
 
     /// Contributes this store's telemetry to an observability snapshot:
-    /// the [`StoreStats`] counters, occupancy gauges, the decode
-    /// latency histograms, and (when [`StoreConfig::codec_metrics`] is
-    /// on) the per-variant breakdown. Cold path — it takes shard read
+    /// the [`StoreStats`] counters, occupancy gauges, the decode and
+    /// encode latency histograms, and one `store_decode_ns_<variant>`
+    /// row per variant decoded so far. Cold path — it takes shard read
     /// locks for the gauges and allocates freely; never call it from a
-    /// fetch loop. Also available through the [`Collect`] trait for
-    /// [`compaqt_obs::Registry::register_collector`].
+    /// fetch loop.
     pub fn collect_obs(&self, out: &mut Snapshot) {
         let s = self.stats();
         out.push_counter("store_fetches", s.fetches);
@@ -859,11 +827,14 @@ impl Store {
         out.push_gauge("store_shards", self.shards.len() as u64);
         out.push_histogram("store_decode_ns", self.metrics.decode_ns.snapshot());
         out.push_histogram("store_miss_decode_ns", self.metrics.miss_decode_ns.snapshot());
-        if self.codec_metrics {
-            out.push_histogram("store_encode_ns", self.metrics.encode_ns.snapshot());
-            for (variant, h) in self.metrics.variant_decode_ns.read().iter() {
-                let name = format!("store_decode_ns_{}", variant_metric_suffix(*variant));
-                out.push_histogram(name, h.snapshot());
+        out.push_histogram("store_encode_ns", self.metrics.encode_ns.snapshot());
+        for (variant, h) in valid_variants().zip(&self.metrics.variant_decode_ns) {
+            let h = h.snapshot();
+            if h.count() > 0 {
+                out.push_histogram(
+                    format!("store_decode_ns_{}", variant_metric_suffix(variant)),
+                    h,
+                );
             }
         }
     }
@@ -925,12 +896,6 @@ impl Store {
     /// Which shard a gate routes to — stable across runs and machines.
     pub fn shard_index(&self, id: &GateId) -> usize {
         (id.stable_hash() & self.shard_mask) as usize
-    }
-}
-
-impl Collect for Store {
-    fn collect(&self, out: &mut Snapshot) {
-        self.collect_obs(out);
     }
 }
 
@@ -1028,12 +993,9 @@ mod tests {
         // least recently used.
         let lib = library();
         let compressor = Compressor::new(Variant::IntDctW { ws: 16 });
-        let store = Store::from_library_with(
-            &lib,
-            &compressor,
-            StoreConfig { shards: 1, hot_capacity: 2, ..StoreConfig::default() },
-        )
-        .unwrap();
+        let store =
+            Store::from_library_with(&lib, &compressor, StoreConfig { shards: 1, hot_capacity: 2 })
+                .unwrap();
         let gates = store.gates();
         assert!(gates.len() >= 3);
         store.fetch_cached(&gates[0]).unwrap();
@@ -1053,12 +1015,9 @@ mod tests {
     fn zero_hot_capacity_disables_caching() {
         let lib = library();
         let compressor = Compressor::new(Variant::IntDctW { ws: 16 });
-        let store = Store::from_library_with(
-            &lib,
-            &compressor,
-            StoreConfig { shards: 4, hot_capacity: 0, ..StoreConfig::default() },
-        )
-        .unwrap();
+        let store =
+            Store::from_library_with(&lib, &compressor, StoreConfig { shards: 4, hot_capacity: 0 })
+                .unwrap();
         let gate = store.gates().remove(0);
         store.fetch_cached(&gate).unwrap();
         store.fetch_cached(&gate).unwrap();
@@ -1069,8 +1028,7 @@ mod tests {
 
     #[test]
     fn shard_routing_is_stable_and_in_range() {
-        let store =
-            Store::new(StoreConfig { shards: 5, hot_capacity: 8, ..StoreConfig::default() });
+        let store = Store::new(StoreConfig { shards: 5, hot_capacity: 8 });
         assert_eq!(store.shard_count(), 8, "rounded up to a power of two");
         let id = GateId::pair(GateKind::Cx, 3, 7);
         let s = store.shard_index(&id);
@@ -1086,17 +1044,12 @@ mod tests {
         for (requested, effective) in
             [(0, 1), (1, 1), (2, 2), (3, 4), (5, 8), (8, 8), (9, 16), (16, 16), (17, 32)]
         {
-            let store = Store::new(StoreConfig {
-                shards: requested,
-                hot_capacity: 0,
-                ..StoreConfig::default()
-            });
+            let store = Store::new(StoreConfig { shards: requested, hot_capacity: 0 });
             assert_eq!(store.shard_count(), effective, "shards: {requested}");
         }
         // Routing is the stable hash masked by (shards - 1); pin the
         // formula so the layout itself can't drift either.
-        let store =
-            Store::new(StoreConfig { shards: 8, hot_capacity: 0, ..StoreConfig::default() });
+        let store = Store::new(StoreConfig { shards: 8, hot_capacity: 0 });
         for id in [
             GateId::single(GateKind::X, 0),
             GateId::single(GateKind::Sx, 12),
@@ -1118,12 +1071,9 @@ mod tests {
         // (b) let the skewed 4-gate working set stay entirely hot.
         let lib = library();
         let compressor = Compressor::new(Variant::IntDctW { ws: 16 });
-        let store = Store::from_library_with(
-            &lib,
-            &compressor,
-            StoreConfig { shards: 8, hot_capacity: 4, ..StoreConfig::default() },
-        )
-        .unwrap();
+        let store =
+            Store::from_library_with(&lib, &compressor, StoreConfig { shards: 8, hot_capacity: 4 })
+                .unwrap();
         let gates = store.gates();
         // Pick the shard holding the most gates and keep 4 of its gates.
         let busiest =
@@ -1162,7 +1112,7 @@ mod tests {
         let store = Store::from_library_with(
             &lib,
             &compressor,
-            StoreConfig { shards: 1, hot_capacity: 64, ..StoreConfig::default() },
+            StoreConfig { shards: 1, hot_capacity: 64 },
         )
         .unwrap();
         let ids = store.gates();
@@ -1280,8 +1230,7 @@ mod tests {
     #[test]
     fn fetch_many_is_bit_exact_with_repeated_fetch_into() {
         let lib = library();
-        let store =
-            Store::new(StoreConfig { shards: 4, hot_capacity: 8, ..StoreConfig::default() });
+        let store = Store::new(StoreConfig { shards: 4, hot_capacity: 8 });
         // Mixed variants so the batch crosses engines as well as shards.
         for (k, (gate, wf)) in lib.iter().enumerate() {
             let variant = match k % 3 {
@@ -1310,17 +1259,16 @@ mod tests {
     fn collect_obs_mirrors_stats_and_feeds_histograms() {
         let lib = library();
         let compressor = Compressor::new(Variant::IntDctW { ws: 16 });
-        let store = Store::from_library_with(
-            &lib,
-            &compressor,
-            StoreConfig { codec_metrics: true, ..StoreConfig::default() },
-        )
-        .unwrap();
-        let gate = store.gates().remove(0);
+        let store = Store::from_library(&lib, &compressor).unwrap();
+        let gates = store.gates();
+        let (gate, dct_gate) = (&gates[0], &gates[1]);
+        let dct_n = Compressor::new(Variant::DctN).compress(lib.get(dct_gate).unwrap()).unwrap();
+        store.insert(dct_gate.clone(), dct_n).unwrap();
         let (mut i, mut q) = (Vec::new(), Vec::new());
-        store.fetch_into(&gate, &mut i, &mut q).unwrap();
-        store.fetch_cached(&gate).unwrap(); // miss
-        store.fetch_cached(&gate).unwrap(); // hit: must not record
+        store.fetch_into(gate, &mut i, &mut q).unwrap();
+        store.fetch_into(dct_gate, &mut i, &mut q).unwrap();
+        store.fetch_cached(gate).unwrap(); // miss
+        store.fetch_cached(gate).unwrap(); // hit: must not record
         let mut snap = Snapshot::new();
         store.collect_obs(&mut snap);
         let s = store.stats();
@@ -1330,40 +1278,28 @@ mod tests {
         assert_eq!(snap.gauge("store_gates"), Some(lib.len() as u64));
         assert_eq!(snap.gauge("store_hot_len"), Some(1));
         let decode = snap.histogram("store_decode_ns").expect("aggregate histogram present");
-        assert_eq!(decode.count(), 1, "one fetch_into sample");
+        assert_eq!(decode.count(), 2, "one sample per fetch_into");
         let miss = snap.histogram("store_miss_decode_ns").expect("miss histogram present");
         assert_eq!(miss.count(), 1, "one miss sample; the hit recorded nothing");
-        // codec_metrics: encode timing plus the per-variant breakdown.
+        // The default config records encode timing and the per-variant
+        // breakdown, with a row only for variants that were decoded.
         let enc = snap.histogram("store_encode_ns").expect("encode histogram present");
         assert_eq!(enc.count(), lib.len() as u64, "one encode sample per waveform");
         let variant =
             snap.histogram("store_decode_ns_int_dct_w16").expect("per-variant histogram present");
         assert_eq!(variant.count(), 2, "fetch_into + miss; batch and hit paths excluded");
-    }
-
-    #[test]
-    fn codec_metrics_off_suppresses_variant_histograms() {
-        let store = store(); // default config: codec_metrics = false
-        let gate = store.gates().remove(0);
-        let (mut i, mut q) = (Vec::new(), Vec::new());
-        store.fetch_into(&gate, &mut i, &mut q).unwrap();
-        let mut snap = Snapshot::new();
-        store.collect_obs(&mut snap);
-        assert!(snap.histogram("store_decode_ns").is_some(), "aggregates stay on");
-        assert!(snap.histogram("store_encode_ns").is_none());
-        assert!(snap.histogram("store_decode_ns_int_dct_w16").is_none());
+        let dct = snap.histogram("store_decode_ns_dct_n").expect("DCT-N histogram present");
+        assert_eq!(dct.count(), 1, "one DCT-N fetch_into");
+        assert!(snap.histogram("store_decode_ns_delta").is_none(), "no row for an idle variant");
     }
 
     #[test]
     fn trace_captures_recalibration_and_eviction() {
         let lib = library();
         let compressor = Compressor::new(Variant::IntDctW { ws: 16 });
-        let store = Store::from_library_with(
-            &lib,
-            &compressor,
-            StoreConfig { shards: 1, hot_capacity: 1, ..StoreConfig::default() },
-        )
-        .unwrap();
+        let store =
+            Store::from_library_with(&lib, &compressor, StoreConfig { shards: 1, hot_capacity: 1 })
+                .unwrap();
         let ring = Arc::new(TraceRing::new(16));
         assert!(store.attach_trace(Arc::clone(&ring)));
         assert!(!store.attach_trace(Arc::new(TraceRing::new(16))), "first attach wins");
@@ -1395,12 +1331,9 @@ mod tests {
         // spin in reserve_hot_slot forever).
         let lib = library();
         let compressor = Compressor::new(Variant::IntDctW { ws: 16 });
-        let store = Store::from_library_with(
-            &lib,
-            &compressor,
-            StoreConfig { shards: 1, hot_capacity: 2, ..StoreConfig::default() },
-        )
-        .unwrap();
+        let store =
+            Store::from_library_with(&lib, &compressor, StoreConfig { shards: 1, hot_capacity: 2 })
+                .unwrap();
         let ring = Arc::new(TraceRing::new(16));
         assert!(store.attach_trace(Arc::clone(&ring)));
         let gates = store.gates();

@@ -12,11 +12,9 @@
 //! partial-butterfly IDCT, which is how the Table IV resource rows for
 //! `int-DCT-W` are produced.
 
-use serde::{Deserialize, Serialize};
-
 /// A single signed-power-of-two term of a CSD decomposition:
 /// `sign * 2^shift` with `sign` in `{-1, +1}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CsdTerm {
     /// +1 or -1.
     pub sign: i8,
@@ -36,7 +34,7 @@ pub struct CsdTerm {
 /// assert_eq!(csd.reconstruct(), 83);
 /// assert!(csd.adder_count() <= 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csd {
     value: u32,
     terms: Vec<CsdTerm>,
@@ -95,7 +93,7 @@ impl Csd {
 }
 
 /// Hardware resource totals for a transform engine (one Table IV row).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineResources {
     /// Hardware multiplier instances.
     pub multipliers: usize,

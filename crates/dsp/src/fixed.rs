@@ -6,7 +6,6 @@
 //! 16-bit channel format: a signed Q1.15 value in `[-1.0, 1.0)`.
 
 use crate::batched::KernelTier;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Neg, Sub};
 
@@ -26,9 +25,7 @@ use std::ops::{Add, Neg, Sub};
 /// assert_eq!(Q15::from_f64(2.0), Q15::MAX); // saturates
 /// assert_eq!(Q15::from_f64(-2.0), Q15::MIN);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[repr(transparent)]
 pub struct Q15(i16);
 

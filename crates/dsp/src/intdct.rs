@@ -47,7 +47,6 @@
 
 use crate::fixed::Q15;
 use crate::loeffler::IntButterflyPlan;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Magnitudes of the HEVC 32-point transform basis, indexed by angle index
@@ -154,7 +153,7 @@ impl std::error::Error for UnsupportedSizeError {}
 /// }
 /// # Ok::<(), compaqt_dsp::intdct::UnsupportedSizeError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IntDct {
     n: usize,
     log2n: u32,

@@ -6,7 +6,6 @@
 //! to the gate fidelity"), and compression ratio `R = old size / new size`
 //! as the capacity/bandwidth gain.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Mean squared error between two equal-length signals.
@@ -56,7 +55,7 @@ pub fn psnr(a: &[f64], b: &[f64]) -> f64 {
 
 /// A compression ratio `R = old size / new size` (paper convention:
 /// `R > 1` means the data shrank).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompressionRatio {
     old_size: usize,
     new_size: usize,
@@ -106,7 +105,7 @@ impl fmt::Display for CompressionRatio {
 
 /// Aggregates min/avg/max statistics over a set of per-waveform values
 /// (used for Table VII's min/max/average compression-ratio rows).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Smallest observed value.
     pub min: f64,

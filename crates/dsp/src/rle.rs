@@ -21,7 +21,6 @@
 //! accounts for that by clamping (the fidelity impact is part of the
 //! measured int-DCT MSE).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum run length representable in one codeword (14-bit field).
@@ -34,7 +33,7 @@ pub const MAX_COEFF: i32 = (1 << 14) - 1;
 pub const MIN_COEFF: i32 = -(1 << 14);
 
 /// A run-length codeword (the paper's "RLE codeword").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RleCodeword {
     /// How many samples the codeword expands to.
     pub run: u16,
@@ -44,7 +43,7 @@ pub struct RleCodeword {
 
 /// One 16-bit word of the compressed stream: either a coefficient or a
 /// run-length codeword.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CodedWord {
     /// A (15-bit) transform coefficient or literal sample.
     Coeff(i16),

@@ -7,10 +7,8 @@
 //! edge padding is also provided because flat-top pulses may end a window
 //! mid-plateau.
 
-use serde::{Deserialize, Serialize};
-
 /// How the final partial window is filled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PadMode {
     /// Pad with zeros (default; correct for envelopes that end at zero).
     #[default]

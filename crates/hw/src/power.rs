@@ -8,13 +8,12 @@
 //! paper's ~14 mW of memory power next to a 2 mW DAC.
 
 use compaqt_dsp::csd::EngineResources;
-use serde::{Deserialize, Serialize};
 
 /// Reference capacity: the 18 KB per-qubit library of Table I.
 pub const REFERENCE_CAPACITY_BYTES: f64 = 18.0 * 1024.0;
 
 /// The cryogenic controller power model (one qubit's control slice).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CryoPowerModel {
     /// DAC power in mW (the paper adds 2 mW as a reference).
     pub dac_mw: f64,
@@ -57,7 +56,7 @@ impl Default for CryoPowerModel {
 }
 
 /// A power breakdown for one controller design (one Figure 18/19 bar).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerBreakdown {
     /// DAC power in mW.
     pub dac_mw: f64,
@@ -75,7 +74,7 @@ impl PowerBreakdown {
 }
 
 /// A controller design point for the power sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CryoDesign {
     /// Uncompressed waveform memory at the reference capacity.
     Uncompressed,

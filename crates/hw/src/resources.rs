@@ -5,7 +5,6 @@
 //! design points on the Xilinx ZU7EV.
 
 use compaqt_dsp::csd::EngineResources;
-use serde::{Deserialize, Serialize};
 
 /// Total LUTs on the Xilinx ZU7EV used for the paper's evaluation.
 pub const ZU7EV_LUTS: usize = 230_400;
@@ -16,7 +15,7 @@ pub const ZU7EV_FFS: usize = 460_800;
 pub const DATAPATH_BITS: usize = 16;
 
 /// LUT/FF usage of one design block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FpgaUsage {
     /// Look-up tables.
     pub luts: usize,

@@ -9,11 +9,10 @@
 use compaqt_core::memory::banks_per_channel;
 use compaqt_pulse::memory_model;
 use compaqt_pulse::vendor::VendorParams;
-use serde::{Deserialize, Serialize};
 
 /// An RFSoC platform description (defaults model QICK on a Xilinx
 /// UltraScale+ RFSoC).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RfsocModel {
     /// Total BRAM blocks on the device.
     pub bram_count: usize,

@@ -6,10 +6,8 @@
 //! insight: compressed waveform storage is what makes waveform-table
 //! control plausible in that regime. This module quantifies it.
 
-use serde::{Deserialize, Serialize};
-
 /// An SFQ control chip's waveform-memory budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SfqController {
     /// On-chip memory available for waveform storage, in KB.
     pub memory_kb: f64,

@@ -7,11 +7,10 @@
 //! Section VII-C).
 
 use compaqt_core::compress::Variant;
-use serde::{Deserialize, Serialize};
 
 /// Structural delay model in nanoseconds (40nm-class FPGA fabric,
 /// calibrated to the paper's 294 MHz QICK baseline).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingModel {
     /// Baseline critical path (1 / 294 MHz).
     pub base_path_ns: f64,
@@ -28,7 +27,7 @@ impl Default for TimingModel {
 }
 
 /// A decompression-engine design point for timing analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineDesign {
     /// Which transform the engine implements.
     pub variant: Variant,

@@ -33,7 +33,7 @@ use compaqt_core::compress::{CompressedWaveform, Variant};
 use compaqt_core::engine::{DecodeScratch, DecompressionEngine, EngineStats};
 use compaqt_core::overlap::OverlapCompressed;
 use compaqt_core::store::{Store, StoreConfig};
-use compaqt_obs::{Collect, Snapshot, TraceKind, TraceRing};
+use compaqt_obs::{Snapshot, TraceKind, TraceRing};
 use compaqt_pulse::library::GateId;
 use compaqt_pulse::waveform::Waveform;
 use std::fmt;
@@ -412,8 +412,7 @@ impl<'src> Reader<'src> {
     /// snapshot: entry/byte gauges, lazy-CRC verdict progress
     /// (`reader_crc_checked` / `reader_crc_failed` — the former is
     /// monotone under reads, the observable proof that verdicts are
-    /// cached) and the one-shot open cost. Cold path; also available
-    /// through the [`Collect`] trait.
+    /// cached) and the one-shot open cost. Cold path.
     pub fn collect_obs(&self, out: &mut Snapshot) {
         out.push_gauge("reader_entries", self.index.len() as u64);
         out.push_gauge("reader_total_bytes", self.source.len() as u64);
@@ -581,12 +580,6 @@ impl<'src> Reader<'src> {
             }
             Err(ContainerError::CrcMismatch { gate: self.index[k].gate.clone() })
         }
-    }
-}
-
-impl Collect for Reader<'_> {
-    fn collect(&self, out: &mut Snapshot) {
-        self.collect_obs(out);
     }
 }
 

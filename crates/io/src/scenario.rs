@@ -305,7 +305,7 @@ fn run_plain(
     // Path 2: container → store bulk load, then single-gate serving.
     // `hot_capacity` is a global bound, so the library's own size is
     // exactly enough: no eviction during the verification scans.
-    let config = StoreConfig { shards: 4, hot_capacity: library.len(), ..StoreConfig::default() };
+    let config = StoreConfig { shards: 4, hot_capacity: library.len() };
     let store: Store = reader.into_store(config)?;
     for (gate, ri, rq) in &reference {
         store.fetch_into(gate, &mut i_buf, &mut q_buf)?;

@@ -77,7 +77,7 @@ use compaqt_core::compress::CompressedWaveform;
 use compaqt_core::engine::{DecodeScratch, DecompressionEngine, EngineStats};
 use compaqt_core::store::Store;
 use compaqt_core::CompressError;
-use compaqt_obs::{Collect, Gauge, Histogram, Snapshot, TraceKind, TraceRing};
+use compaqt_obs::{Gauge, Histogram, Snapshot, TraceKind, TraceRing};
 use compaqt_pulse::library::{GateId, GateKind};
 use std::fmt;
 use std::io::Write;
@@ -258,7 +258,7 @@ impl ServeObs {
 
     /// Contributes the serve tier's counters, connection gauge,
     /// per-kind latency histograms and ring events to a snapshot. Cold
-    /// path; also available through the [`Collect`] trait.
+    /// path.
     pub fn collect_obs(&self, out: &mut Snapshot) {
         let s = self.counters.snapshot();
         out.push_counter("serve_connections_accepted", s.connections_accepted);
@@ -273,12 +273,6 @@ impl ServeObs {
         }
         self.ring.snapshot_into(&mut out.events);
         out.dropped_events = self.ring.dropped();
-    }
-}
-
-impl Collect for ServeObs {
-    fn collect(&self, out: &mut Snapshot) {
-        self.collect_obs(out);
     }
 }
 

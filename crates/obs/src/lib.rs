@@ -21,51 +21,21 @@
 //!   rejection, protocol error, lazy-CRC first-touch failure, hot-set
 //!   eviction, recalibration publish) with monotonic timestamps,
 //!   seqlock-style slot stamping and drop-oldest semantics.
-//! - [`registry`] — an instantiable [`Registry`] tying metrics,
-//!   [`Collect`]ors and a trace ring into mergeable [`Snapshot`]s, plus
-//!   Prometheus-style text exposition ([`render_text`], cold path,
-//!   allocation allowed).
+//! - [`snapshot`] — a plain-data [`Snapshot`] of named samples and
+//!   trace events, filled by each instrumented component's
+//!   `collect_obs` method, plus Prometheus-style text exposition
+//!   ([`render_text`], cold path, allocation allowed).
 //!
-//! Metrics are either `Arc`-shared through a registry or declared as
-//! const-initialized statics with [`static_metrics!`], so a hot-path
-//! `record()`/`incr()` never allocates and never takes a lock.
+//! A hot-path `record()`/`incr()` never allocates and never takes a
+//! lock: the primitives live inline in the component they instrument.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
 pub mod metrics;
-pub mod registry;
 pub mod ring;
+pub mod snapshot;
 
 pub use metrics::{bucket_bounds, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
-pub use registry::{render_text, Collect, Registry, Sample, Snapshot, Value};
 pub use ring::{now_ns, TraceEvent, TraceKind, TraceRing};
-
-/// Declares const-initialized static metrics, so hot-path recording is
-/// a single relaxed atomic add on a process-lifetime cell — no lazy
-/// initialization, no lock, no allocation.
-///
-/// ```
-/// use compaqt_obs::{static_metrics, Registry};
-///
-/// static_metrics! {
-///     /// Total widgets frobbed.
-///     static WIDGETS: Counter;
-///     /// Frob latency in nanoseconds.
-///     static FROB_NS: Histogram;
-/// }
-///
-/// WIDGETS.incr();
-/// FROB_NS.record(1280);
-///
-/// let registry = Registry::new();
-/// registry.register_static_counter("widgets", &WIDGETS);
-/// registry.register_static_histogram("frob_ns", &FROB_NS);
-/// assert_eq!(registry.snapshot().counter("widgets"), Some(1));
-/// ```
-#[macro_export]
-macro_rules! static_metrics {
-    ($($(#[$meta:meta])* $vis:vis static $name:ident : $kind:ident;)+) => {
-        $($(#[$meta])* $vis static $name: $crate::$kind = $crate::$kind::new();)+
-    };
-}
+pub use snapshot::{render_text, Sample, Snapshot, Value};

@@ -1,8 +1,7 @@
 //! Atomic metric primitives: counters, gauges and log2-bucketed
 //! histograms.
 //!
-//! Everything here is const-constructible (usable in `static`s via
-//! [`static_metrics!`](crate::static_metrics)), records with relaxed
+//! Everything here is const-constructible, records with relaxed
 //! atomics only, and allocates nothing on the recording path. Snapshots
 //! are plain arrays/integers: cheap to copy, mergeable bucket-wise, and
 //! safe to serialize.

@@ -14,11 +14,10 @@ use crate::vendor::{Vendor, VendorParams};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Per-qubit calibration constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QubitCalibration {
     /// Qubit transition frequency in GHz.
     pub frequency_ghz: f64,
@@ -37,7 +36,7 @@ pub struct QubitCalibration {
 }
 
 /// Per-coupled-pair calibration constants (cross-resonance drive).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairCalibration {
     /// CR plateau amplitude.
     pub cr_amp: f64,

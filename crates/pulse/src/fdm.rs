@@ -9,11 +9,10 @@
 //! bottleneck COMPAQT removes.
 
 use crate::waveform::Waveform;
-use serde::{Deserialize, Serialize};
 
 /// An FDM group: several qubit envelopes sharing one DAC at distinct
 /// intermediate-frequency offsets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MuxGroup {
     /// Intermediate-frequency offsets in MHz, one per multiplexed drive.
     pub offsets_mhz: Vec<f64>,

@@ -6,7 +6,6 @@
 //! the property COMPAQT exploits to compress it offline (Section IV-A).
 
 use crate::waveform::Waveform;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -14,7 +13,7 @@ use std::fmt;
 ///
 /// Ordered (`Ord`) so gate collections can be listed deterministically:
 /// built-in kinds sort in declaration order, custom kinds last by name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum GateKind {
     /// IBM π rotation (X gate).
     X,
@@ -54,7 +53,7 @@ impl fmt::Display for GateKind {
 ///
 /// Ordered (`Ord`) by kind then qubit list, so sorted gate listings are
 /// stable across runs and machines.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GateId {
     /// The gate kind.
     pub kind: GateKind,
@@ -128,10 +127,9 @@ impl fmt::Display for GateId {
 }
 
 /// A device's pulse library: the image loaded into waveform memory.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PulseLibrary {
     entries: Vec<(GateId, Waveform)>,
-    #[serde(skip)]
     index: HashMap<GateId, usize>,
 }
 

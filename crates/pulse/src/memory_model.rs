@@ -13,7 +13,6 @@
 //! of 7.56 MB and a peak internal memory bandwidth of 866 GB/s.
 
 use crate::vendor::VendorParams;
-use serde::{Deserialize, Serialize};
 
 /// Total on-chip memory capacity of the reference RFSoC (BRAM + URAM),
 /// the horizontal line of Figure 5(a).
@@ -64,7 +63,7 @@ pub fn rfsoc_total_bandwidth_gb(n: usize) -> f64 {
 }
 
 /// One point of a capacity/bandwidth scaling curve (Figure 5a/5b).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DemandPoint {
     /// Qubit count.
     pub qubits: usize,

@@ -10,8 +10,8 @@
 //!
 //! # Text format
 //!
-//! Descriptions are parsed from a deliberately simple line format (no
-//! serde — the vendored derives are no-op markers):
+//! Descriptions are parsed from a deliberately simple, dependency-free
+//! line format:
 //!
 //! ```text
 //! # comments run to end of line

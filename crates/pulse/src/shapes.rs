@@ -8,7 +8,6 @@
 //! starts and ends exactly at zero, like Qiskit Pulse's implementations.
 
 use crate::waveform::Waveform;
-use serde::{Deserialize, Serialize};
 
 /// A parametric pulse shape that can be sampled into I/Q channels.
 pub trait PulseShape: std::fmt::Debug {
@@ -38,7 +37,7 @@ fn lifted_gaussian(n: usize, amp: f64, sigma: f64) -> Vec<f64> {
 }
 
 /// A plain (lifted) Gaussian envelope.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gaussian {
     /// Sample count.
     pub samples: usize,
@@ -70,7 +69,7 @@ impl PulseShape for Gaussian {
 /// A DRAG envelope: Gaussian I channel, derivative Q channel.
 ///
 /// `q[t] = beta * d(i[t])/dt`, the standard first-order DRAG correction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Drag {
     /// Sample count.
     pub samples: usize,
@@ -113,7 +112,7 @@ impl PulseShape for Drag {
 /// (Qiskit's `GaussianSquare`). Used for cross-resonance two-qubit gates
 /// and readout pulses, and the target of adaptive decompression
 /// (Figure 13).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GaussianSquare {
     /// Total sample count.
     pub samples: usize,
@@ -171,7 +170,7 @@ impl PulseShape for GaussianSquare {
 }
 
 /// A constant (square) envelope.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Constant {
     /// Sample count.
     pub samples: usize,
@@ -198,7 +197,7 @@ impl PulseShape for Constant {
 
 /// A cosine-tapered (Tukey) envelope: raised-cosine ramps around a flat
 /// plateau. Common for fluxonium and tunable-coupler drives.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CosineTapered {
     /// Sample count.
     pub samples: usize,
@@ -246,7 +245,7 @@ impl PulseShape for CosineTapered {
 /// as the Toffoli/CCZ drives of Table IX: smooth, zero at the endpoints,
 /// with energy spread over the first few harmonics. More harmonics means
 /// less compressible.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BandLimited {
     /// Sample count.
     pub samples: usize,

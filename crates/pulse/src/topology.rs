@@ -5,10 +5,8 @@
 //! IBM machines use a heavy-hexagonal lattice (max degree 3, average ~2);
 //! Google uses a square grid (max degree 4).
 
-use serde::{Deserialize, Serialize};
-
 /// A qubit connectivity family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Topology {
     /// A 1-D chain (e.g. the 5-qubit IBM Bogota).
     Line,

@@ -5,10 +5,9 @@
 //! size, gate set and latencies, and connectivity.
 
 use crate::topology::Topology;
-use serde::{Deserialize, Serialize};
 
 /// A control-hardware vendor archetype.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Vendor {
     /// IBM-style fixed-frequency transmons: X/SX/CX (cross-resonance) on a
     /// heavy-hexagonal lattice, 4.54 GS/s DACs, 32-bit I+Q samples.
@@ -51,7 +50,7 @@ impl Vendor {
 }
 
 /// The Table I parameter set used by the capacity/bandwidth models.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VendorParams {
     /// Which vendor archetype this is.
     pub vendor: Vendor,

@@ -6,7 +6,6 @@
 //! the packed I+Q word (e.g. 32 bits = two 16-bit channels on IBM systems).
 
 use compaqt_dsp::fixed::Q15;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A named, sampled I/Q pulse envelope.
@@ -14,7 +13,7 @@ use std::fmt;
 /// Samples are real values in `[-1, 1)` (full scale of the DAC). The
 /// waveform also records the DAC sampling rate so durations can be
 /// recovered.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Waveform {
     name: String,
     i: Vec<f64>,

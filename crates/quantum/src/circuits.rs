@@ -5,12 +5,11 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 use std::fmt;
 
 /// A circuit operation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
     /// Pauli X.
     X(usize),
@@ -51,7 +50,7 @@ impl Op {
 }
 
 /// A gate-level quantum circuit.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Circuit {
     /// Number of qubits.
     pub n_qubits: usize,

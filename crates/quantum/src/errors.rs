@@ -11,10 +11,9 @@
 use compaqt_core::compress::Compressor;
 use compaqt_pulse::library::GateKind;
 use compaqt_pulse::PulseLibrary;
-use serde::{Deserialize, Serialize};
 
 /// Stochastic + coherent gate-error parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseModel {
     /// Depolarizing error per single-qubit gate.
     pub epg_1q: f64,

@@ -4,12 +4,11 @@
 //! 8x8 gate unitaries, 3x3 transmon Hamiltonians) and state vectors, so we
 //! implement exactly that rather than pulling in a linear-algebra crate.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
 
 /// A complex number (f64 components).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex {
     /// Real part.
     pub re: f64,
@@ -113,7 +112,7 @@ impl fmt::Display for Complex {
 }
 
 /// A dense square complex matrix (row major).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CMatrix {
     n: usize,
     data: Vec<Complex>,

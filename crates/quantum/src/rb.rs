@@ -15,10 +15,9 @@ use crate::linalg::CMatrix;
 use crate::state::StateVector;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// RB experiment configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RbConfig {
     /// Clifford sequence lengths to measure.
     pub lengths: Vec<usize>,
@@ -39,7 +38,7 @@ impl Default for RbConfig {
 }
 
 /// The outcome of an RB experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RbResult {
     /// Sequence lengths.
     pub lengths: Vec<usize>,
@@ -56,7 +55,7 @@ pub struct RbResult {
 }
 
 /// Number of qubits benchmarked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RbQubits {
     /// Single-qubit RB.
     One,

@@ -8,10 +8,9 @@
 
 use crate::circuits::{Circuit, Op};
 use compaqt_pulse::vendor::VendorParams;
-use serde::{Deserialize, Serialize};
 
 /// One scheduled operation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduledOp {
     /// The operation.
     pub op: Op,
@@ -22,7 +21,7 @@ pub struct ScheduledOp {
 }
 
 /// An ASAP schedule of a circuit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Schedule {
     /// Scheduled operations.
     pub ops: Vec<ScheduledOp>,
@@ -65,7 +64,7 @@ pub fn duration_ns(op: Op, params: &VendorParams) -> f64 {
 }
 
 /// Concurrency and bandwidth profile of a schedule.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BandwidthProfile {
     /// Peak number of concurrently driven qubit channels.
     pub peak_channels: usize,

@@ -11,10 +11,9 @@
 //!   (`(2d-1)^2` qubits).
 
 use crate::circuits::{Circuit, Op};
-use serde::{Deserialize, Serialize};
 
 /// A surface-code stabilizer: its ancilla qubit and data-qubit supports.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stabilizer {
     /// Ancilla qubit index.
     pub ancilla: usize,
@@ -25,7 +24,7 @@ pub struct Stabilizer {
 }
 
 /// A surface-code patch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SurfacePatch {
     /// Human-readable name (e.g. `surface-25`).
     pub name: String,

@@ -13,10 +13,9 @@ use crate::circuits::Op;
 use crate::schedule::Schedule;
 use compaqt_pulse::library::{GateId, GateKind, PulseLibrary};
 use compaqt_pulse::waveform::Waveform;
-use serde::{Deserialize, Serialize};
 
 /// One playback on a channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Playback {
     /// Which gate's waveform plays.
     pub gate: GateId,
@@ -27,7 +26,7 @@ pub struct Playback {
 }
 
 /// A rendered pulse timeline for every qubit drive channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Timeline {
     /// Sample rate in GS/s.
     pub sample_rate_gs: f64,

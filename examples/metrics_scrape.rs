@@ -1,5 +1,5 @@
-//! Scraping a live `compaqt-serve` daemon: a store with codec metrics
-//! armed serves a device library over loopback while clients generate
+//! Scraping a live `compaqt-serve` daemon: a container-loaded store
+//! serves a device library over loopback while clients generate
 //! traffic, then one `Metrics` request pulls the whole telemetry
 //! snapshot — store counters, per-variant decode histograms, serve-tier
 //! request latencies, and the trace ring — and renders it as a
@@ -19,17 +19,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. A container-loaded store with the per-variant codec
-    //    histograms switched on (aggregate histograms are always on).
+    // 1. A container-loaded store (its latency histograms, aggregate
+    //    and per-variant, are always on).
     let device = Device::named_machine("guadalupe");
     let lib = device.pulse_library();
     let bytes = write_library(&lib, &Compressor::new(Variant::IntDctW { ws: 16 }))?;
     let reader = Reader::open(bytes, ReaderOptions::default())?;
-    let store = Arc::new(reader.into_store(StoreConfig {
-        shards: 8,
-        hot_capacity: lib.len(),
-        codec_metrics: true,
-    })?);
+    let store = Arc::new(reader.into_store(StoreConfig { shards: 8, hot_capacity: lib.len() })?);
 
     // 2. Serve it, with slow-request tracing armed at 200 µs so the
     //    trace ring has something to say about loopback traffic.
@@ -80,9 +76,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         decode.quantile(0.99),
         decode.max_estimate()
     );
-    if let Some(variant) = snap.histogram("store_decode_ns_int_dct_w16") {
-        println!("int-DCT-W (WS=16) decodes: {} samples", variant.count());
-    }
+    // The codec breakdown is always on: the scrape must carry the
+    // encode histogram and the row of the one variant that decoded.
+    assert!(snap.histogram("store_encode_ns").is_some(), "scrape lacks store_encode_ns");
+    let variant = snap
+        .histogram("store_decode_ns_int_dct_w16")
+        .expect("scrape lacks store_decode_ns_int_dct_w16");
+    println!("int-DCT-W (WS=16) decodes: {} samples", variant.count());
     let fetch = snap.histogram("serve_fetch_gate_ns").expect("always present");
     println!("wire fetches: {} requests, p90 ~{} ns", fetch.count(), fetch.quantile(0.9));
     println!(

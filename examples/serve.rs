@@ -27,11 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Daemon side: validate the container, load the store, listen.
     let reader = Reader::open(bytes, ReaderOptions::default())?;
-    let store = Arc::new(reader.into_store(StoreConfig {
-        shards: 8,
-        hot_capacity: lib.len(),
-        ..StoreConfig::default()
-    })?);
+    let store = Arc::new(reader.into_store(StoreConfig { shards: 8, hot_capacity: lib.len() })?);
     let config = ServeConfig { max_connections: 16, ..ServeConfig::default() };
     let handle = serve_source(Arc::clone(&store), "127.0.0.1:0", config)?;
     println!("serving on {}", handle.local_addr());

@@ -281,7 +281,7 @@ fn steady_state_library_codec_allocates_nothing() {
     let store = Store::from_library_with(
         &lib,
         &compressor,
-        StoreConfig { shards: 4, hot_capacity: waveforms.len(), ..StoreConfig::default() },
+        StoreConfig { shards: 4, hot_capacity: waveforms.len() },
     )
     .unwrap();
     let gates = store.gates();
@@ -596,18 +596,16 @@ fn steady_state_library_codec_allocates_nothing() {
     );
 
     // ---- Instrumented serving: arming every observability instrument
-    // must cost the steady state nothing on the heap. A store built
-    // with `codec_metrics: true` and a live trace ring records
-    // aggregate *and* per-variant latency histograms on each decode
-    // (relaxed atomic adds; the per-variant row is found under a read
-    // lock once its slot exists); the same fetch loops as above must
-    // still count zero.
+    // must cost the steady state nothing on the heap. A store with a
+    // live trace ring records aggregate *and* per-variant latency
+    // histograms on each decode (relaxed atomic adds into fixed
+    // slots); the same fetch loops as above must still count zero.
     use compaqt::obs::TraceRing;
     use std::sync::Arc;
     let obs_store = Store::from_library_with(
         &lib,
         &compressor,
-        StoreConfig { shards: 4, hot_capacity: waveforms.len(), codec_metrics: true },
+        StoreConfig { shards: 4, hot_capacity: waveforms.len() },
     )
     .unwrap();
     assert!(obs_store.attach_trace(Arc::new(TraceRing::new(64))));

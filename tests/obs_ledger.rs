@@ -226,11 +226,8 @@ fn metrics_over_loopback_round_trips_bit_identically() {
     let lib = Device::synthesize(Vendor::Ibm, 3, 0x0B5).pulse_library();
     let bytes = write_library(&lib, &Compressor::new(Variant::IntDctW { ws: 16 })).unwrap();
     let reader = Reader::open(bytes, ReaderOptions::default()).unwrap();
-    let store = Arc::new(
-        reader
-            .into_store(StoreConfig { shards: 4, hot_capacity: lib.len(), codec_metrics: true })
-            .unwrap(),
-    );
+    let store =
+        Arc::new(reader.into_store(StoreConfig { shards: 4, hot_capacity: lib.len() }).unwrap());
     let config = ServeConfig {
         slow_request: std::time::Duration::from_nanos(1),
         trace_events: 64,

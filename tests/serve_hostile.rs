@@ -38,7 +38,7 @@ use std::sync::Arc;
 fn test_store() -> Arc<Store> {
     let lib = Device::synthesize(Vendor::Ibm, 2, 0x5EED).pulse_library();
     let compressor = Compressor::new(Variant::IntDctW { ws: 16 });
-    let config = StoreConfig { shards: 4, hot_capacity: lib.len(), ..StoreConfig::default() };
+    let config = StoreConfig { shards: 4, hot_capacity: lib.len() };
     Arc::new(Store::from_library_with(&lib, &compressor, config).unwrap())
 }
 

@@ -27,7 +27,7 @@ fn guadalupe() -> Arc<PulseLibrary> {
 fn container_loaded_store(lib: &PulseLibrary) -> Arc<Store> {
     let bytes = write_library(lib, &Compressor::new(Variant::IntDctW { ws: 16 })).unwrap();
     let reader = Reader::open(bytes, ReaderOptions::default()).unwrap();
-    let config = StoreConfig { shards: 8, hot_capacity: lib.len(), ..StoreConfig::default() };
+    let config = StoreConfig { shards: 8, hot_capacity: lib.len() };
     Arc::new(reader.into_store(config).unwrap())
 }
 

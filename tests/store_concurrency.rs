@@ -112,7 +112,7 @@ mod store {
         let store = Store::from_library_with(
             &lib,
             &compressor,
-            StoreConfig { shards: 4, hot_capacity: 256, ..StoreConfig::default() },
+            StoreConfig { shards: 4, hot_capacity: 256 },
         )
         .unwrap();
         let gates: Vec<GateId> = store.gates();
@@ -322,7 +322,7 @@ mod store {
             // sharding, the per-thread scratch and accounting — none of
             // which may perturb a single sample, for any encoding variant.
             let wf = Waveform::from_real("prop", xs, 4.54);
-            let store = Store::new(StoreConfig { shards: 2, hot_capacity: 4, ..StoreConfig::default() });
+            let store = Store::new(StoreConfig { shards: 2, hot_capacity: 4 });
             let mut scratch = DecodeScratch::new();
             let (mut ei, mut eq) = (Vec::new(), Vec::new());
             let (mut si, mut sq) = (Vec::new(), Vec::new());

@@ -140,7 +140,7 @@ fn replay(device: &str, store: &Store, reference: &HashMap<GateId, Waveform>, pl
 /// `hot_capacity` is an honest global bound, so the library's own size
 /// is exactly enough — no per-shard headroom multiplier.
 fn roomy_config(library_len: usize) -> StoreConfig {
-    StoreConfig { shards: 4, hot_capacity: library_len, ..StoreConfig::default() }
+    StoreConfig { shards: 4, hot_capacity: library_len }
 }
 
 #[test]
