@@ -213,9 +213,9 @@ pub fn tab09() -> Vec<(String, f64)> {
 /// scoped worker threads (the calibration-cycle recompression path for
 /// 100+ qubit machines). Returns `(waveforms, seconds, overall ratio)`.
 ///
-/// For the thread-count-agnostic production path use
-/// [`compaqt_core::batch::compress_library_par`]; this runner pins the
-/// worker count so Figure 20 can report per-thread scaling.
+/// The production compile ([`compaqt_core::stats::compress_library`])
+/// is sequential; this runner pins the worker count so Figure 20 can
+/// report per-thread scaling.
 pub fn parallel_compress_stats(machine: &str, ws: usize, threads: usize) -> (usize, f64, f64) {
     let device = Device::named_machine(machine);
     let lib = device.pulse_library();

@@ -2,22 +2,15 @@
 //!
 //! A calibration cycle ends with every waveform of a 100+ qubit machine
 //! being recompressed and packed into the controller's container
-//! (Figure 6; the CWL container lives in `compaqt-io`). The per-waveform
-//! codec is embarrassingly parallel — each waveform compresses
-//! independently — so the compile side can fan the library out across
-//! the host's cores:
+//! (Figure 6; the CWL container lives in `compaqt-io`). Both sides run
+//! one sequential loop:
 //!
-//! * [`compress_library_par`] — the compile side, the parallel twin of
-//!   [`crate::stats::compress_library`]: it splits the library into one
-//!   contiguous slice per `available_parallelism()` worker on scoped
-//!   `std` threads and produces an identical [`LibraryReport`] (same
-//!   order, same numbers — both run the same per-waveform body, and the
-//!   codec is deterministic). Each worker carries a private
-//!   [`EncodeScratch`](crate::engine::EncodeScratch) (cached transform
-//!   plans + staging), so per-window compression work allocates
-//!   nothing; only the compressed streams each worker returns are
-//!   allocated. With one worker it spawns nothing and is exactly the
-//!   sequential compile.
+//! * [`compress_library_par`] — the compile side, an alias of
+//!   [`crate::stats::compress_library`] kept for its existing callers.
+//!   A fan-out of one contiguous slice per core on scoped `std` threads
+//!   produced the identical report but measured no faster on a 2-vCPU
+//!   host: over 20 alternating process pairs compiling the
+//!   663-waveform `washington` library, it won 10 and lost 10.
 //! * [`decompress_library`] — the decode side, one sequential loop over
 //!   the zero-allocation engine path: one engine per variant, one
 //!   [`DecodeScratch`] and reusable output buffers, so only the final
@@ -32,15 +25,8 @@ use crate::CompressError;
 use compaqt_pulse::library::PulseLibrary;
 use compaqt_pulse::waveform::Waveform;
 
-/// Parallel twin of [`crate::stats::compress_library`]: compresses every
-/// waveform of a library across one worker thread per available core
-/// and aggregates the same [`LibraryReport`] (library order, identical
-/// numbers).
-///
-/// Each worker verifies its own streams through the zero-allocation
-/// decode path with a thread-private scratch, so the reconstruction-MSE
-/// accounting adds no per-window allocations. On a single-core host
-/// this spawns nothing and is literally the sequential compile.
+/// The library compile under its historical name: runs
+/// [`crate::stats::compress_library`] and returns its report unchanged.
 ///
 /// # Errors
 ///
@@ -51,8 +37,7 @@ pub fn compress_library_par(
     library: &PulseLibrary,
     compressor: &Compressor,
 ) -> Result<LibraryReport, CompressError> {
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    crate::stats::compile_library(library, compressor, workers)
+    crate::stats::compress_library(library, compressor)
 }
 
 /// Sequentially decodes a batch of compressed waveforms through one
@@ -140,33 +125,5 @@ mod tests {
         let c = Compressor::new(Variant::IntDctW { ws: 16 });
         assert_eq!(compress_library(&empty, &c).unwrap_err(), CompressError::EmptyLibrary);
         assert_eq!(compress_library_par(&empty, &c).unwrap_err(), CompressError::EmptyLibrary);
-    }
-
-    #[test]
-    fn every_worker_count_matches_the_sequential_report() {
-        // A library length that 2, 3 and len + 1 workers all leave a
-        // ragged (or empty) last slice on.
-        let full = library();
-        let mut len = full.len();
-        while len.is_multiple_of(2) || len.is_multiple_of(3) {
-            len -= 1;
-        }
-        let mut lib = PulseLibrary::new();
-        for (gate, wf) in full.iter().take(len) {
-            lib.insert(gate.clone(), wf.clone());
-        }
-        let c = Compressor::new(Variant::IntDctW { ws: 16 });
-        let seq = compress_library(&lib, &c).unwrap();
-        for workers in [1, 2, 3, len + 1] {
-            let par = crate::stats::compile_library(&lib, &c, workers).unwrap();
-            assert_eq!(par.overall, seq.overall, "{workers} workers: overall ratio");
-            assert_eq!(par.waveforms.len(), len, "{workers} workers");
-            for (a, b) in seq.waveforms.iter().zip(&par.waveforms) {
-                assert_eq!(a.gate, b.gate, "{workers} workers: library order");
-                assert_eq!(a.compressed, b.compressed, "{workers} workers: {}", a.gate);
-                assert_eq!(a.mse.to_bits(), b.mse.to_bits(), "{workers} workers: {}", a.gate);
-                assert_eq!(a.ratio.to_bits(), b.ratio.to_bits(), "{workers} workers: {}", a.gate);
-            }
-        }
     }
 }

@@ -12,7 +12,6 @@ use crate::store::Store;
 use crate::CompressError;
 use compaqt_dsp::metrics::{CompressionRatio, Summary};
 use compaqt_pulse::library::{GateId, GateKind, PulseLibrary};
-use compaqt_pulse::waveform::Waveform;
 use std::collections::BTreeMap;
 
 /// Compression outcome for one waveform.
@@ -115,10 +114,12 @@ impl LibraryReport {
 
 /// Compresses every waveform of a library and aggregates the results.
 ///
-/// The loop reuses one [`EncodeScratch`] and one [`DecodeScratch`]
-/// across the whole library (cached transform plans, staging buffers),
-/// so per-window work allocates nothing; only the per-waveform
-/// compressed streams the report owns are allocated.
+/// Each waveform is compressed, verify-decoded through the shared
+/// engine and scored for reconstruction MSE. The loop reuses one
+/// [`EncodeScratch`], one [`DecodeScratch`] and one pair of sample
+/// buffers across the whole library (cached transform plans, staging
+/// buffers), so per-window work allocates nothing; only the
+/// per-waveform compressed streams the report owns are allocated.
 ///
 /// # Errors
 ///
@@ -129,63 +130,13 @@ pub fn compress_library(
     library: &PulseLibrary,
     compressor: &Compressor,
 ) -> Result<LibraryReport, CompressError> {
-    compile_library(library, compressor, 1)
-}
-
-/// The one library compile behind [`compress_library`] and
-/// [`crate::batch::compress_library_par`]: the library is split into
-/// one contiguous slice per worker, each slice runs [`compile_slice`]
-/// (the first on the calling thread, the rest on scoped threads), and
-/// the reports are joined back in library order. `workers <= 1` runs
-/// the whole library on the calling thread and spawns nothing. The
-/// codec is deterministic, so the report is bit-identical for every
-/// worker count.
-pub(crate) fn compile_library(
-    library: &PulseLibrary,
-    compressor: &Compressor,
-    workers: usize,
-) -> Result<LibraryReport, CompressError> {
-    if library.is_empty() {
-        return Err(CompressError::EmptyLibrary);
-    }
     let engine = DecompressionEngine::shared(compressor.variant())?;
-    let entries: Vec<(&GateId, &Waveform)> = library.iter().collect();
-    let mut slices = entries.chunks(entries.len().div_ceil(workers.max(1)));
-    let first = slices.next().unwrap_or_default();
-    let waveforms = std::thread::scope(|scope| {
-        let rest: Vec<_> = slices
-            .map(|slice| scope.spawn(move || compile_slice(slice, compressor, engine)))
-            .collect();
-        let mut waveforms = compile_slice(first, compressor, engine)?;
-        for worker in rest {
-            let reports = worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            waveforms.extend(reports?);
-        }
-        Ok::<_, CompressError>(waveforms)
-    })?;
-    let overall = waveforms
-        .iter()
-        .map(|w| w.compressed.ratio())
-        .reduce(|acc, r| acc.combine(&r))
-        .ok_or(CompressError::EmptyLibrary)?;
-    Ok(LibraryReport { waveforms, overall })
-}
-
-/// The per-waveform compile body: compress, verify-decode through the
-/// shared engine, score the reconstruction MSE, report. One
-/// [`EncodeScratch`], one [`DecodeScratch`] and one pair of sample
-/// buffers serve the whole slice.
-fn compile_slice(
-    entries: &[(&GateId, &Waveform)],
-    compressor: &Compressor,
-    engine: &DecompressionEngine,
-) -> Result<Vec<WaveformReport>, CompressError> {
     let mut enc = EncodeScratch::new();
     let mut dec = DecodeScratch::new();
     let (mut i_buf, mut q_buf) = (Vec::new(), Vec::new());
-    entries
+    let waveforms = library
         .iter()
-        .map(|&(gate, wf)| {
+        .map(|(gate, wf)| {
             let mut compressed = CompressedWaveform::empty();
             compressor.compress_into(wf, &mut enc, &mut compressed)?;
             engine.decompress_into(&compressed, &mut dec, &mut i_buf, &mut q_buf)?;
@@ -200,7 +151,13 @@ fn compile_slice(
                 compressed,
             })
         })
-        .collect()
+        .collect::<Result<Vec<_>, CompressError>>()?;
+    let overall = waveforms
+        .iter()
+        .map(|w| w.compressed.ratio())
+        .reduce(|acc, r| acc.combine(&r))
+        .ok_or(CompressError::EmptyLibrary)?;
+    Ok(LibraryReport { waveforms, overall })
 }
 
 #[cfg(test)]

@@ -808,11 +808,12 @@ impl Store {
     }
 
     /// Contributes this store's telemetry to an observability snapshot:
-    /// the [`StoreStats`] counters, occupancy gauges, the decode and
-    /// encode latency histograms, and one `store_decode_ns_<variant>`
-    /// row per variant decoded so far. Cold path — it takes shard read
-    /// locks for the gauges and allocates freely; never call it from a
-    /// fetch loop.
+    /// the [`StoreStats`] counters, occupancy gauges, the decode latency
+    /// histograms, the encode histogram once
+    /// [`Store::from_library_with`] has encoded something, and one
+    /// `store_decode_ns_<variant>` row per variant decoded so far. Cold
+    /// path — it takes shard read locks for the gauges and allocates
+    /// freely; never call it from a fetch loop.
     pub fn collect_obs(&self, out: &mut Snapshot) {
         let s = self.stats();
         out.push_counter("store_fetches", s.fetches);
@@ -827,7 +828,10 @@ impl Store {
         out.push_gauge("store_shards", self.shards.len() as u64);
         out.push_histogram("store_decode_ns", self.metrics.decode_ns.snapshot());
         out.push_histogram("store_miss_decode_ns", self.metrics.miss_decode_ns.snapshot());
-        out.push_histogram("store_encode_ns", self.metrics.encode_ns.snapshot());
+        let encode = self.metrics.encode_ns.snapshot();
+        if encode.count() > 0 {
+            out.push_histogram("store_encode_ns", encode);
+        }
         for (variant, h) in valid_variants().zip(&self.metrics.variant_decode_ns) {
             let h = h.snapshot();
             if h.count() > 0 {
