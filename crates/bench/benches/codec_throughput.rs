@@ -8,20 +8,23 @@
 //! * `decompress_engine/*` vs `decompress_into/*` — the historical
 //!   allocating decode (fresh `Vec` per pipeline stage per window, dense
 //!   integer IDCT) against the plan/buffer-reuse path (caller-owned
-//!   `DecodeScratch` + output buffers; density-routed between the sparse
-//!   fused IDCT kernel and the batched SIMD inverse);
+//!   `DecodeScratch` + output buffers; every integer window through the
+//!   fused RLE + sparse IDCT kernel);
 //! * `compress/*` vs `compress_into/*` — the allocating compressor
 //!   (fresh scratch, fresh plans, fresh output per call) against the
 //!   encode twin (caller-owned `EncodeScratch` + reused output stream,
 //!   batched SoA forward kernels).
 //!
-//! The `intdct_kernel` group pairs each per-window kernel with its
-//! `*_batched_*` SoA row (64 windows per call, runtime-dispatched SIMD);
-//! the batched rows are gated to meet or beat the per-window rows on
-//! elements/s in the same run. Their inputs are sine windows, none of
+//! The `intdct_kernel` group pairs each per-window forward with its
+//! `forward_batched_*` SoA row (64 windows per call, runtime-dispatched
+//! SIMD); the batched rows are gated to meet or beat the per-window rows
+//! on elements/s in the same run. Their inputs are sine windows, none of
 //! them constant; the ungated `forward_batched_library_ws16` row runs
 //! the same kernel over the 433-qubit fleet's real staged windows,
 //! where most windows are constant and take the closed-form shortcut.
+//! On the inverse side, `inverse_rle_dense_ws16` times the fused decode
+//! kernel on a fully dense window, its worst case, and is gated to meet
+//! or beat the per-window matrix inverse `inverse_ws16` in the same run.
 //!
 //! The serving path is measured too: `store_fetch/cold_fetch_into`
 //! (sharded-store streaming fetch, decodes every call) vs
@@ -48,6 +51,8 @@ use compaqt_core::store::Store;
 use compaqt_dsp::batched::BatchedIntDctPlan;
 use compaqt_dsp::fixed::{quantize_into, Q15};
 use compaqt_dsp::intdct::IntDct;
+use compaqt_dsp::rle::CodedWord;
+use compaqt_dsp::sparse::inverse_rle_f64_into;
 use compaqt_pulse::device::Device;
 use compaqt_pulse::shapes::{Drag, GaussianSquare, PulseShape};
 use criterion::{Criterion, Throughput};
@@ -108,14 +113,25 @@ fn bench_intdct_kernel(c: &mut Criterion) {
             })
         });
         if ws == 16 {
-            // Dense coefficient windows: the regime the decode path
-            // routes to the batched inverse.
-            let dense: Vec<i32> = (0..BATCH).flat_map(|_| y.iter().copied()).collect();
-            let mut out_b = vec![0.0f64; ws * BATCH];
-            group.bench_function(format!("inverse_batched_ws{ws}"), |b| {
+            // The fused RLE + sparse inverse on a fully dense window (one
+            // stored nonzero coefficient word per sample, no zero run):
+            // the production decode kernel at its most expensive.
+            let words: Vec<CodedWord> = (0..ws as i16)
+                .map(|k| CodedWord::Coeff(if k % 2 == 0 { 900 - 50 * k } else { -300 - 17 * k }))
+                .collect();
+            let mut coeffs = Vec::new();
+            group.throughput(Throughput::Elements(ws as u64));
+            group.bench_function(format!("inverse_rle_dense_ws{ws}"), |b| {
                 b.iter(|| {
-                    plan.inverse_f64_batched_into(black_box(&dense), 2, black_box(&mut out_b));
-                    black_box(out_b[0])
+                    inverse_rle_f64_into(
+                        &t,
+                        black_box(&words),
+                        2,
+                        &mut coeffs,
+                        black_box(&mut out),
+                    )
+                    .unwrap();
+                    black_box(out[0])
                 })
             });
         }
@@ -237,9 +253,6 @@ fn bench_library_compile(c: &mut Criterion) {
         b.iter(|| {
             black_box(compaqt_core::stats::compress_library(black_box(&lib), &compressor).unwrap())
         })
-    });
-    group.bench_function("guadalupe_par", |b| {
-        b.iter(|| black_box(batch::compress_library_par(black_box(&lib), &compressor).unwrap()))
     });
     let zs: Vec<_> = lib.iter().map(|(_, wf)| compressor.compress(wf).unwrap()).collect();
     group.bench_function("decode_library_seq", |b| {
@@ -663,10 +676,11 @@ fn main() {
     } else {
         println!("no committed encode_speedup_ws8 baseline; encode gate skipped");
     }
-    // Batched-kernel floor: the SoA batched rows must at least match the
-    // per-window rows on elements/s. Both sides come from the same run,
-    // so the gate is immune to machine-speed drift between runs and
-    // cannot ratchet.
+    // Kernel floors: the SoA batched forwards must at least match the
+    // per-window forwards on elements/s, and the fused decode kernel on a
+    // dense window must at least match the per-window matrix inverse.
+    // Both sides come from the same run, so the gate is immune to
+    // machine-speed drift between runs and cannot ratchet.
     let per_second = |group: &str, name: &str| {
         criterion
             .results()
@@ -674,14 +688,14 @@ fn main() {
             .find(|r| r.group == group && r.name == name)
             .and_then(|r| r.per_second())
     };
-    let mut kernel_floor = |batched: String, scalar: String| {
-        if let (Some(b), Some(s)) =
-            (per_second("intdct_kernel", &batched), per_second("intdct_kernel", &scalar))
+    let mut kernel_floor = |fast: String, floor: String| {
+        if let (Some(f), Some(s)) =
+            (per_second("intdct_kernel", &fast), per_second("intdct_kernel", &floor))
         {
-            if b < s {
+            if f < s {
                 failures.push(format!(
-                    "{batched} {:.1} Melem/s fell below per-window {scalar} {:.1} Melem/s",
-                    b / 1e6,
+                    "{fast} {:.1} Melem/s fell below {floor} {:.1} Melem/s",
+                    f / 1e6,
                     s / 1e6
                 ));
             }
@@ -690,7 +704,7 @@ fn main() {
     for ws in [8usize, 16, 32] {
         kernel_floor(format!("forward_batched_ws{ws}"), format!("forward_ws{ws}"));
     }
-    kernel_floor("inverse_batched_ws16".to_string(), "inverse_ws16".to_string());
+    kernel_floor("inverse_rle_dense_ws16".to_string(), "inverse_ws16".to_string());
     // Zero-overhead telemetry gate: the instrumented store's hot hit
     // must stay within this run's own jitter of the uninstrumented
     // row. Both sides come from the same run (machine drift cancels,
@@ -715,7 +729,8 @@ fn main() {
     }
     println!(
         "bench gates passed (decode >= 3x, encode within jitter margin, \
-         batched kernels >= per-window, instrumented hot fetch within jitter)"
+         batched forwards >= per-window, dense fused inverse >= matrix inverse, \
+         instrumented hot fetch within jitter)"
     );
     match committed_enc8 {
         Some(baseline) if enc8 < baseline => println!(

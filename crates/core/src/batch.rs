@@ -1,16 +1,15 @@
-//! Batch compilation and decode of whole pulse libraries.
+//! Batch decode of whole pulse libraries.
 //!
 //! A calibration cycle ends with every waveform of a 100+ qubit machine
 //! being recompressed and packed into the controller's container
 //! (Figure 6; the CWL container lives in `compaqt-io`). Both sides run
 //! one sequential loop:
 //!
-//! * [`compress_library_par`] — the compile side, an alias of
-//!   [`crate::stats::compress_library`] kept for its existing callers.
-//!   A fan-out of one contiguous slice per core on scoped `std` threads
-//!   produced the identical report but measured no faster on a 2-vCPU
-//!   host: over 20 alternating process pairs compiling the
-//!   663-waveform `washington` library, it won 10 and lost 10.
+//! * the compile side is [`crate::stats::compress_library`]. A fan-out
+//!   of one contiguous slice per core on scoped `std` threads produced
+//!   the identical report but measured no faster on a 2-vCPU host: over
+//!   20 alternating process pairs compiling the 663-waveform
+//!   `washington` library, it won 10 and lost 10.
 //! * [`decompress_library`] — the decode side, one sequential loop over
 //!   the zero-allocation engine path: one engine per variant, one
 //!   [`DecodeScratch`] and reusable output buffers, so only the final
@@ -18,27 +17,10 @@
 //!   per-waveform x per-channel parallel decoder measured slower than
 //!   this loop on both a 1-vCPU and a 2-vCPU host.
 
-use crate::compress::{CompressedWaveform, Compressor};
+use crate::compress::CompressedWaveform;
 use crate::engine::{DecodeScratch, DecompressionEngine, EngineStats};
-use crate::stats::LibraryReport;
 use crate::CompressError;
-use compaqt_pulse::library::PulseLibrary;
 use compaqt_pulse::waveform::Waveform;
-
-/// The library compile under its historical name: runs
-/// [`crate::stats::compress_library`] and returns its report unchanged.
-///
-/// # Errors
-///
-/// Returns [`CompressError::EmptyLibrary`] for a library with no
-/// waveforms, and otherwise propagates the first compression or decode
-/// error.
-pub fn compress_library_par(
-    library: &PulseLibrary,
-    compressor: &Compressor,
-) -> Result<LibraryReport, CompressError> {
-    crate::stats::compress_library(library, compressor)
-}
 
 /// Sequentially decodes a batch of compressed waveforms through one
 /// reused scratch (the steady-state zero-allocation loop: after the
@@ -72,33 +54,13 @@ pub fn decompress_library(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compress::Variant;
-    use crate::stats::compress_library;
+    use crate::compress::{Compressor, Variant};
     use compaqt_pulse::device::Device;
     use compaqt_pulse::vendor::Vendor;
 
-    fn library() -> std::sync::Arc<PulseLibrary> {
-        Device::synthesize(Vendor::Ibm, 4, 0xBA7C4).pulse_library()
-    }
-
-    #[test]
-    fn parallel_report_matches_sequential_exactly() {
-        let lib = library();
-        let c = Compressor::new(Variant::IntDctW { ws: 16 });
-        let seq = compress_library(&lib, &c).unwrap();
-        let par = compress_library_par(&lib, &c).unwrap();
-        assert_eq!(seq.waveforms.len(), par.waveforms.len());
-        assert_eq!(seq.overall.ratio(), par.overall.ratio());
-        for (a, b) in seq.waveforms.iter().zip(&par.waveforms) {
-            assert_eq!(a.gate, b.gate, "library order must be preserved");
-            assert_eq!(a.compressed, b.compressed);
-            assert_eq!(a.mse, b.mse, "{}: mse must be bit-identical", a.gate);
-        }
-    }
-
     #[test]
     fn mixed_variant_batches_decode() {
-        let lib = library();
+        let lib = Device::synthesize(Vendor::Ibm, 4, 0xBA7C4).pulse_library();
         let mut zs = Vec::new();
         for (k, (_, wf)) in lib.iter().enumerate() {
             let variant = if k % 2 == 0 { Variant::IntDctW { ws: 16 } } else { Variant::DctN };
@@ -110,20 +72,5 @@ mod tests {
         for (z, wf) in zs.iter().zip(&out) {
             assert_eq!(wf.len(), z.n_samples);
         }
-    }
-
-    #[test]
-    fn unsupported_variant_errors_cleanly() {
-        let lib = library();
-        let c = Compressor::new(Variant::IntDctW { ws: 12 });
-        assert!(compress_library_par(&lib, &c).is_err());
-    }
-
-    #[test]
-    fn empty_library_is_a_typed_error() {
-        let empty = PulseLibrary::new();
-        let c = Compressor::new(Variant::IntDctW { ws: 16 });
-        assert_eq!(compress_library(&empty, &c).unwrap_err(), CompressError::EmptyLibrary);
-        assert_eq!(compress_library_par(&empty, &c).unwrap_err(), CompressError::EmptyLibrary);
     }
 }

@@ -20,12 +20,10 @@
 //!   through a caller-owned [`DecodeScratch`] plus caller output `Vec`s.
 //!   After the first decode warms the buffers, steady-state decoding of a
 //!   whole pulse library performs **zero heap allocations per window**
-//!   (the `alloc_regression` integration test enforces this). Sparse
-//!   integer windows take the fused RLE + sparse inverse
-//!   ([`compaqt_dsp::sparse::inverse_rle_f64_into`]); dense ones run as
-//!   one SoA-batched inverse per channel
-//!   ([`compaqt_dsp::batched::BatchedIntDctPlan`]) through the
-//!   runtime-dispatched SIMD kernels. Every serving, container and
+//!   (the `alloc_regression` integration test enforces this). Every
+//!   integer window, sparse or dense, takes the fused RLE + sparse
+//!   inverse ([`compaqt_dsp::sparse::inverse_rle_f64_into`]), whose
+//!   cost scales with the stored words. Every serving, container and
 //!   batch path decodes through it.
 //! * **Reference** — [`DecompressionEngine::decompress`] /
 //!   [`DecompressionEngine::decode_channel`] return fresh `Vec`s and run
@@ -49,14 +47,15 @@
 //! keyed [`compaqt_dsp::plan::DctPlanCache`] for full-length `DCT-N`
 //! plans.
 
-use crate::compress::{ChannelData, CompressedWaveform, Variant};
+use crate::compress::{ChannelData, CompressedWaveform, Variant, INT_STORE_SHIFT};
 use crate::CompressError;
 use compaqt_dsp::batched::{BatchedDct, BatchedIntDctPlan};
 use compaqt_dsp::dct::Dct;
 use compaqt_dsp::fixed::Q15;
 use compaqt_dsp::intdct::{IntDct, SUPPORTED_SIZES};
 use compaqt_dsp::plan::DctPlanCache;
-use compaqt_dsp::rle::{CodedWord, RleDecoder};
+use compaqt_dsp::rle::{CodedWord, RleDecoder, RleError};
+use compaqt_dsp::sparse::inverse_rle_f64_into;
 use compaqt_pulse::waveform::Waveform;
 use std::sync::OnceLock;
 
@@ -103,6 +102,16 @@ impl EngineStats {
         self.output_samples += other.output_samples;
         self.cycles += other.cycles;
     }
+
+    /// Accounts one stored window: its words are read from memory, its
+    /// run-length codewords decoded, and one IDCT evaluated (one cycle
+    /// per word plus one for the IDCT).
+    fn tally_window(&mut self, words: &[CodedWord]) {
+        self.memory_words_read += words.len();
+        self.rle_codewords += words.iter().filter(|w| matches!(w, CodedWord::Rle(_))).count();
+        self.idct_windows += 1;
+        self.cycles += words.len() as u64 + 1;
+    }
 }
 
 /// Caller-owned working memory for the zero-allocation decode path.
@@ -147,12 +156,6 @@ pub struct DecodeScratch {
     fcoeffs: Vec<f64>,
     /// Windowed IDCT output staging (overlap-add decoding).
     time: Vec<f64>,
-    /// Flat RLE-expanded coefficient staging for the batched integer
-    /// inverse (one window-sized chunk per transform window).
-    batch_coeffs: Vec<i32>,
-    /// Cached batched integer inverse plans, one per distinct window size
-    /// (at most the five supported sizes, so no eviction is needed).
-    batched: Vec<BatchedIntDctPlan>,
     /// Bounded `DCT-N` inverse plans, keyed by transform length.
     plans: DctPlanCache,
 }
@@ -168,18 +171,21 @@ impl DecodeScratch {
         &self.plans
     }
 
-    /// The cached batched integer inverse plan for `t`'s window size
-    /// (built from a clone of `t` on first use), split-borrowed together
-    /// with the flat coefficient staging buffer it consumes so the
-    /// two-pass batched decode can hold both mutably at once.
-    pub(crate) fn batched_int(&mut self, t: &IntDct) -> (&mut BatchedIntDctPlan, &mut Vec<i32>) {
-        let ws = t.len();
-        if !self.batched.iter().any(|p| p.len() == ws) {
-            self.batched.push(BatchedIntDctPlan::from_transform(t.clone()));
+    /// Expands one float window's codewords into `coeffs` and divides
+    /// them by `scale` into `fcoeffs`, both `window` long.
+    fn dequantize(
+        &mut self,
+        words: &[CodedWord],
+        window: usize,
+        scale: f64,
+    ) -> Result<(), RleError> {
+        self.coeffs.resize(window, 0);
+        RleDecoder::new().decode_window_into(words, &mut self.coeffs)?;
+        self.fcoeffs.resize(window, 0.0);
+        for (f, &c) in self.fcoeffs.iter_mut().zip(&self.coeffs) {
+            *f = f64::from(c) / scale;
         }
-        let plan =
-            self.batched.iter_mut().find(|p| p.len() == ws).expect("inserted above if missing");
-        (plan, &mut self.batch_coeffs)
+        Ok(())
     }
 
     /// Splits out the (coeff, float-coeff, time) staging buffers at one
@@ -485,14 +491,9 @@ impl DecompressionEngine {
                 let mut out: Vec<f64> =
                     Vec::with_capacity(windows.len().saturating_mul(window).min(n_samples));
                 for words in windows {
-                    stats.memory_words_read += words.len();
-                    stats.rle_codewords +=
-                        words.iter().filter(|w| matches!(w, CodedWord::Rle(_))).count();
+                    stats.tally_window(words);
                     let coeffs = decoder.decode_window(words, window)?;
-                    let samples = self.inverse(&coeffs, window);
-                    stats.idct_windows += 1;
-                    stats.cycles += words.len() as u64 + 1;
-                    out.extend_from_slice(&samples);
+                    out.extend_from_slice(&self.inverse(&coeffs, window));
                 }
                 stats.output_samples += n_samples.min(out.len());
                 out.truncate(n_samples);
@@ -573,7 +574,6 @@ impl DecompressionEngine {
                 Ok(())
             }
             ChannelData::Windows(windows) => {
-                let decoder = RleDecoder::new();
                 let window = self.effective_window(windows.len(), n_samples)?;
                 check_window_claims(windows, window)?;
                 let base = out.len();
@@ -585,71 +585,11 @@ impl DecompressionEngine {
                     )?;
                 out.resize(total, 0.0);
                 let produced = total - base;
-                if let InverseStage::Integer(t) = &self.stage {
-                    // Both integer decode kernels below are bit-exact
-                    // with each other, so picking one is purely a
-                    // throughput decision. Sparse streams — the common
-                    // case; real pulses keep ~3 stored words per
-                    // 16-sample window — win with the fused per-window
-                    // kernel, whose cost scales with the stored words.
-                    // Dense streams win with the SoA-batched SIMD
-                    // inverse, whose cost is flat per sample. Average
-                    // fill of at least half the window flips to batched.
-                    let total_words: usize = windows.iter().map(Vec::len).sum();
-                    if total_words.saturating_mul(2) >= produced {
-                        // Batched integer decode: pass 1 expands every
-                        // window's codewords into the flat staging buffer
-                        // (one window-sized chunk each), pass 2 runs a
-                        // single SoA-batched inverse over the whole
-                        // channel through the runtime-dispatched SIMD
-                        // kernels.
-                        let (plan, staging) = scratch.batched_int(t);
-                        staging.resize(produced, 0);
-                        for (words, cdst) in windows.iter().zip(staging.chunks_exact_mut(window)) {
-                            stats.memory_words_read += words.len();
-                            stats.rle_codewords +=
-                                words.iter().filter(|w| matches!(w, CodedWord::Rle(_))).count();
-                            decoder.decode_window_into(words, cdst)?;
-                            stats.idct_windows += 1;
-                            stats.cycles += words.len() as u64 + 1;
-                        }
-                        plan.inverse_f64_batched_into(
-                            staging,
-                            crate::compress::INT_STORE_SHIFT,
-                            &mut out[base..total],
-                        );
-                    } else {
-                        let mut pos = base;
-                        for words in windows {
-                            stats.memory_words_read += words.len();
-                            stats.rle_codewords +=
-                                words.iter().filter(|w| matches!(w, CodedWord::Rle(_))).count();
-                            compaqt_dsp::sparse::inverse_rle_f64_into(
-                                t,
-                                words,
-                                crate::compress::INT_STORE_SHIFT,
-                                &mut scratch.coeffs,
-                                &mut out[pos..pos + window],
-                            )?;
-                            stats.idct_windows += 1;
-                            stats.cycles += words.len() as u64 + 1;
-                            pos += window;
-                        }
-                    }
-                } else {
-                    let mut pos = base;
-                    for words in windows {
-                        stats.memory_words_read += words.len();
-                        stats.rle_codewords +=
-                            words.iter().filter(|w| matches!(w, CodedWord::Rle(_))).count();
-                        let dst = &mut out[pos..pos + window];
-                        scratch.coeffs.resize(window, 0);
-                        decoder.decode_window_into(words, &mut scratch.coeffs)?;
-                        self.inverse_into(scratch, window, dst);
-                        stats.idct_windows += 1;
-                        stats.cycles += words.len() as u64 + 1;
-                        pos += window;
-                    }
+                let mut pos = base;
+                for words in windows {
+                    stats.tally_window(words);
+                    self.decode_window_into(words, scratch, &mut out[pos..pos + window])?;
+                    pos += window;
                 }
                 stats.output_samples += n_samples.min(produced);
                 out.truncate(base + n_samples.min(produced));
@@ -658,33 +598,33 @@ impl DecompressionEngine {
         }
     }
 
-    /// Inverse-transforms `scratch.coeffs` into `dst` without allocating.
-    fn inverse_into(&self, scratch: &mut DecodeScratch, window: usize, dst: &mut [f64]) {
+    /// Expands one window's codewords and inverse-transforms them into
+    /// `dst` (one window long) without allocating. Integer windows take
+    /// the fused RLE + sparse inverse; float windows are expanded and
+    /// dequantized into the scratch first.
+    fn decode_window_into(
+        &self,
+        words: &[CodedWord],
+        scratch: &mut DecodeScratch,
+        dst: &mut [f64],
+    ) -> Result<(), CompressError> {
+        let window = dst.len();
         match &self.stage {
-            InverseStage::Integer(_) => {
-                // decode_channel_into routes every integer window through
-                // the fused sparse kernel or the batched SoA inverse;
-                // keeping a third integer kernel here would invite silent
-                // divergence between them.
-                unreachable!("integer windows are decoded by the fused or batched kernels")
+            InverseStage::Integer(t) => {
+                inverse_rle_f64_into(t, words, INT_STORE_SHIFT, &mut scratch.coeffs, dst)?;
             }
             InverseStage::Float { dct, scale } => {
-                scratch.fcoeffs.resize(window, 0.0);
-                for (f, &c) in scratch.fcoeffs.iter_mut().zip(&scratch.coeffs) {
-                    *f = f64::from(c) / scale;
-                }
+                scratch.dequantize(words, window, *scale)?;
                 dct.inverse_into(&scratch.fcoeffs, dst);
             }
             InverseStage::None => {
                 // DCT-N: full-length inverse through the cached plan.
                 let scale = f64::from(1u32 << crate::compress::float_coeff_scale_bits(window));
-                scratch.fcoeffs.resize(window, 0.0);
-                for (f, &c) in scratch.fcoeffs.iter_mut().zip(&scratch.coeffs) {
-                    *f = f64::from(c) / scale;
-                }
+                scratch.dequantize(words, window, scale)?;
                 scratch.plans.plan(window).inverse_into(&scratch.fcoeffs, dst);
             }
         }
+        Ok(())
     }
 
     /// Window length for this stream: fixed for windowed variants, the
@@ -710,8 +650,7 @@ impl DecompressionEngine {
             InverseStage::Integer(t) => {
                 // Undo the storage headroom shift (the lost LSBs are part
                 // of the measured quantization error).
-                let native: Vec<i32> =
-                    coeffs.iter().map(|&c| c << crate::compress::INT_STORE_SHIFT).collect();
+                let native: Vec<i32> = coeffs.iter().map(|&c| c << INT_STORE_SHIFT).collect();
                 t.inverse_f64(&native)
             }
             InverseStage::Float { dct, scale } => {

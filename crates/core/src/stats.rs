@@ -174,6 +174,20 @@ mod tests {
     }
 
     #[test]
+    fn unsupported_variant_errors_cleanly() {
+        let lib = Device::synthesize(Vendor::Ibm, 4, 0xBA7C4).pulse_library();
+        let c = Compressor::new(Variant::IntDctW { ws: 12 });
+        assert!(compress_library(&lib, &c).is_err());
+    }
+
+    #[test]
+    fn empty_library_is_a_typed_error() {
+        let empty = PulseLibrary::new();
+        let c = Compressor::new(Variant::IntDctW { ws: 16 });
+        assert_eq!(compress_library(&empty, &c).unwrap_err(), CompressError::EmptyLibrary);
+    }
+
+    #[test]
     fn overall_ratio_exceeds_4x() {
         // Table VII: int-DCT-W (WS=16) averages ~6.5x; even small devices
         // should clear 4x.

@@ -1,10 +1,10 @@
-//! Batched structure-of-arrays (SoA) transform kernels with runtime
-//! SIMD dispatch.
+//! Batched structure-of-arrays (SoA) forward transform kernels with
+//! runtime SIMD dispatch.
 //!
 //! The per-window kernels in [`crate::intdct`] and [`crate::dct`]
 //! transform one window per call, so the compiler cannot vectorize
 //! *across* windows — yet a codec stream is nothing but a long run of
-//! independent same-size windows. This module restructures the hot
+//! independent same-size windows. This module restructures the encode
 //! transforms around **window batches**: [`BatchedIntDctPlan`] (and its
 //! float twin [`BatchedDct`]) accept N concatenated windows per call,
 //! transpose them into structure-of-arrays layout — lane `j` of every
@@ -13,6 +13,11 @@
 //! batch row at once. The batch dimension is purely data-parallel, so
 //! the inner loops are straight-line add/sub/mul over contiguous memory:
 //! prime SIMD material.
+//!
+//! Only the forward (encode) direction is batched. Decode reads
+//! run-length coded windows that are mostly zero, and the fused
+//! RLE + sparse inverse in [`crate::sparse`] beats a dense batched
+//! inverse even on the device fleet's densest streams (`sycamore-53`).
 //!
 //! # Kernel tiers and runtime dispatch
 //!
@@ -23,10 +28,10 @@
 //!   mandatory fallback on every platform and the autovectorization
 //!   baseline.
 //! * **Sse2** — explicit `core::arch` x86_64 SSE2 intrinsics (128-bit,
-//!   4 x i32 / 2 x i64 / 2 x f64 per op). SSE2 is part of the x86_64
+//!   4 x i32 / 2 x f64 per op). SSE2 is part of the x86_64
 //!   baseline, so this tier needs no feature check.
-//! * **Avx2** — explicit AVX2 intrinsics (256-bit, 8 x i32 / 4 x i64 /
-//!   4 x f64 per op), used only when `is_x86_feature_detected!("avx2")`
+//! * **Avx2** — explicit AVX2 intrinsics (256-bit, 8 x i32 / 4 x f64 per
+//!   op), used only when `is_x86_feature_detected!("avx2")`
 //!   reports support at runtime.
 //!
 //! Setting the environment variable `COMPAQT_FORCE_SCALAR` to any value
@@ -38,10 +43,9 @@
 //! # Bit-exactness contract
 //!
 //! Batched output is **bit-identical** to the per-window kernels
-//! ([`IntDct::forward_into`], [`IntDct::inverse_f64_into`],
-//! [`Dct::forward_into`]) on every tier:
+//! ([`IntDct::forward_into`], [`Dct::forward_into`]) on every tier:
 //!
-//! * the integer kernels compute exact (overflow-free, see
+//! * the integer kernel computes exact (overflow-free, see
 //!   [`crate::loeffler::IntButterflyPlan`]) integer accumulators, where
 //!   addition is associative, so reordering across the batch cannot
 //!   change a single bit; the integer forward's closed form for
@@ -85,7 +89,7 @@ use std::sync::OnceLock;
 
 /// Upper bound on the number of windows a single SoA kernel invocation
 /// processes; longer batches are split into chunks of this many windows
-/// so the working set (at most `64 * 32` i64 accumulators, 16 KiB) stays
+/// so the working set (at most `64 * 32` f64 rows, 16 KiB) stays
 /// cache-resident.
 pub const MAX_BATCH_CHUNK: usize = 32;
 
@@ -162,12 +166,6 @@ trait Backend {
     unsafe fn mul_i32(out: &mut [i32], t: i32, v: &[i32]);
     /// `acc[b] += t * v[b]`.
     unsafe fn mul_acc_i32(acc: &mut [i32], t: i32, v: &[i32]);
-    /// `out[b] = i64(t) * i64(v[b])`.
-    unsafe fn widen_mul_i64(out: &mut [i64], t: i32, v: &[i32]);
-    /// `acc[b] += i64(t) * i64(v[b])`.
-    unsafe fn mul_acc_i64(acc: &mut [i64], t: i32, v: &[i32]);
-    /// Transposed butterfly: `e = top; top = e + odd; bot = e - odd`.
-    unsafe fn butterfly_i64(top: &mut [i64], bot: &mut [i64], odd: &[i64]);
     /// `acc[b] += t * v[b]` with separate multiply and add roundings
     /// (no FMA), matching the scalar kernel's op sequence per lane.
     unsafe fn mul_acc_f64(acc: &mut [f64], t: f64, v: &[f64]);
@@ -203,31 +201,6 @@ impl Backend for ScalarBackend {
     }
 
     #[inline(always)]
-    unsafe fn widen_mul_i64(out: &mut [i64], t: i32, v: &[i32]) {
-        let t = i64::from(t);
-        for (o, &x) in out.iter_mut().zip(v) {
-            *o = t * i64::from(x);
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn mul_acc_i64(acc: &mut [i64], t: i32, v: &[i32]) {
-        let t = i64::from(t);
-        for (a, &x) in acc.iter_mut().zip(v) {
-            *a += t * i64::from(x);
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn butterfly_i64(top: &mut [i64], bot: &mut [i64], odd: &[i64]) {
-        for ((t, bo), &o) in top.iter_mut().zip(bot.iter_mut()).zip(odd) {
-            let e = *t;
-            *t = e + o;
-            *bo = e - o;
-        }
-    }
-
-    #[inline(always)]
     unsafe fn mul_acc_f64(acc: &mut [f64], t: f64, v: &[f64]) {
         for (a, &x) in acc.iter_mut().zip(v) {
             *a += t * x;
@@ -242,9 +215,7 @@ mod x86 {
     //! — the SoA scratch rows carry no alignment guarantee — with scalar
     //! tails for `batch % lanes` remainders.
 
-    use super::{
-        dct_forward_soa_body, forward_soa_body, inverse_soa_body, Backend, Dct, IntButterflyPlan,
-    };
+    use super::{dct_forward_soa_body, forward_soa_body, Backend, Dct, IntButterflyPlan};
     use std::arch::x86_64::*;
 
     /// Exact low-32 product per lane on SSE2, which lacks
@@ -319,39 +290,6 @@ mod x86 {
             }
         }
 
-        // SSE2 has no signed 32x32->64 multiply (`pmuldq` is SSE4.1), so
-        // the widening products stay scalar on this tier; the i64
-        // butterflies below still vectorize.
-        #[inline(always)]
-        unsafe fn widen_mul_i64(out: &mut [i64], t: i32, v: &[i32]) {
-            ScalarBackendDelegate::widen_mul_i64(out, t, v);
-        }
-
-        #[inline(always)]
-        unsafe fn mul_acc_i64(acc: &mut [i64], t: i32, v: &[i32]) {
-            ScalarBackendDelegate::mul_acc_i64(acc, t, v);
-        }
-
-        #[inline(always)]
-        unsafe fn butterfly_i64(top: &mut [i64], bot: &mut [i64], odd: &[i64]) {
-            let n = top.len();
-            let mut i = 0;
-            while i + 2 <= n {
-                let e = _mm_loadu_si128(top.as_ptr().add(i).cast());
-                let o = _mm_loadu_si128(odd.as_ptr().add(i).cast());
-                _mm_storeu_si128(top.as_mut_ptr().add(i).cast(), _mm_add_epi64(e, o));
-                _mm_storeu_si128(bot.as_mut_ptr().add(i).cast(), _mm_sub_epi64(e, o));
-                i += 2;
-            }
-            while i < n {
-                let e = top[i];
-                let o = odd[i];
-                top[i] = e + o;
-                bot[i] = e - o;
-                i += 1;
-            }
-        }
-
         #[inline(always)]
         unsafe fn mul_acc_f64(acc: &mut [f64], t: f64, v: &[f64]) {
             let n = acc.len();
@@ -366,28 +304,6 @@ mod x86 {
             while i < n {
                 acc[i] += t * v[i];
                 i += 1;
-            }
-        }
-    }
-
-    /// Scalar fallbacks for the primitives an SSE2-only machine cannot
-    /// vectorize, shared by [`Sse2Backend`].
-    struct ScalarBackendDelegate;
-
-    impl ScalarBackendDelegate {
-        #[inline(always)]
-        fn widen_mul_i64(out: &mut [i64], t: i32, v: &[i32]) {
-            let t = i64::from(t);
-            for (o, &x) in out.iter_mut().zip(v) {
-                *o = t * i64::from(x);
-            }
-        }
-
-        #[inline(always)]
-        fn mul_acc_i64(acc: &mut [i64], t: i32, v: &[i32]) {
-            let t = i64::from(t);
-            for (a, &x) in acc.iter_mut().zip(v) {
-                *a += t * i64::from(x);
             }
         }
     }
@@ -449,65 +365,6 @@ mod x86 {
             }
         }
 
-        // `vpmuldq` multiplies the low 32 bits of each 64-bit lane as
-        // signed integers into a full 64-bit product; sign-extending the
-        // i32 inputs first makes those low halves exactly the operands.
-        #[inline(always)]
-        unsafe fn widen_mul_i64(out: &mut [i64], t: i32, v: &[i32]) {
-            let n = out.len();
-            let tv = _mm256_set1_epi64x(i64::from(t));
-            let mut i = 0;
-            while i + 4 <= n {
-                let x = _mm256_cvtepi32_epi64(_mm_loadu_si128(v.as_ptr().add(i).cast()));
-                _mm256_storeu_si256(out.as_mut_ptr().add(i).cast(), _mm256_mul_epi32(tv, x));
-                i += 4;
-            }
-            let t = i64::from(t);
-            while i < n {
-                out[i] = t * i64::from(v[i]);
-                i += 1;
-            }
-        }
-
-        #[inline(always)]
-        unsafe fn mul_acc_i64(acc: &mut [i64], t: i32, v: &[i32]) {
-            let n = acc.len();
-            let tv = _mm256_set1_epi64x(i64::from(t));
-            let mut i = 0;
-            while i + 4 <= n {
-                let x = _mm256_cvtepi32_epi64(_mm_loadu_si128(v.as_ptr().add(i).cast()));
-                let a = _mm256_loadu_si256(acc.as_ptr().add(i).cast());
-                let sum = _mm256_add_epi64(a, _mm256_mul_epi32(tv, x));
-                _mm256_storeu_si256(acc.as_mut_ptr().add(i).cast(), sum);
-                i += 4;
-            }
-            let t = i64::from(t);
-            while i < n {
-                acc[i] += t * i64::from(v[i]);
-                i += 1;
-            }
-        }
-
-        #[inline(always)]
-        unsafe fn butterfly_i64(top: &mut [i64], bot: &mut [i64], odd: &[i64]) {
-            let n = top.len();
-            let mut i = 0;
-            while i + 4 <= n {
-                let e = _mm256_loadu_si256(top.as_ptr().add(i).cast());
-                let o = _mm256_loadu_si256(odd.as_ptr().add(i).cast());
-                _mm256_storeu_si256(top.as_mut_ptr().add(i).cast(), _mm256_add_epi64(e, o));
-                _mm256_storeu_si256(bot.as_mut_ptr().add(i).cast(), _mm256_sub_epi64(e, o));
-                i += 4;
-            }
-            while i < n {
-                let e = top[i];
-                let o = odd[i];
-                top[i] = e + o;
-                bot[i] = e - o;
-                i += 1;
-            }
-        }
-
         #[inline(always)]
         unsafe fn mul_acc_f64(acc: &mut [f64], t: f64, v: &[f64]) {
             let n = acc.len();
@@ -556,31 +413,6 @@ mod x86 {
         batch: usize,
     ) {
         forward_soa_body::<Avx2Backend>(plan, buf, diff, out, batch);
-    }
-
-    /// # Safety
-    /// SSE2 is part of the x86_64 baseline; always safe to call there.
-    pub(super) unsafe fn inverse_soa_sse2(
-        plan: &IntButterflyPlan,
-        y: &[i32],
-        acc: &mut [i64],
-        odd: &mut [i64],
-        batch: usize,
-    ) {
-        inverse_soa_body::<Sse2Backend>(plan, y, acc, odd, batch);
-    }
-
-    /// # Safety
-    /// The caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn inverse_soa_avx2(
-        plan: &IntButterflyPlan,
-        y: &[i32],
-        acc: &mut [i64],
-        odd: &mut [i64],
-        batch: usize,
-    ) {
-        inverse_soa_body::<Avx2Backend>(plan, y, acc, odd, batch);
     }
 
     /// # Safety
@@ -657,54 +489,6 @@ unsafe fn forward_soa_body<B: Backend>(
     B::mul_i32(&mut out[..batch], plan.dc_gain(), &buf[..batch]);
 }
 
-/// Raw batched transposed (inverse-direction) accumulators:
-/// `acc[i * batch + b] = sum_k T[k][i] * y_b[k]` from SoA coefficients
-/// `y[k * batch + b]` — the factorized transpose, bit-identical to the
-/// sparse matrix inverse [`IntDct::inverse_into`]. Rotator rows whose entire
-/// batch row is zero are skipped (their contribution is exactly zero),
-/// preserving the sparse-stream advantage across the batch.
-///
-/// # Safety
-/// `B`'s target features must be enabled on the calling path.
-#[inline(always)]
-unsafe fn inverse_soa_body<B: Backend>(
-    plan: &IntButterflyPlan,
-    y: &[i32],
-    acc: &mut [i64],
-    odd: &mut [i64],
-    batch: usize,
-) {
-    let n = plan.len();
-    B::widen_mul_i64(&mut acc[..batch], plan.dc_gain(), &y[..batch]);
-    let mut len = 2usize;
-    while len <= n {
-        let half = len / 2;
-        let level = plan.level_count() - len.trailing_zeros() as usize;
-        let step = n / len;
-        let rows = plan.rows_at(level);
-        let odd = &mut odd[..half * batch];
-        odd.fill(0);
-        for (k, row) in rows.chunks_exact(half).enumerate() {
-            let v = &y[step * (2 * k + 1) * batch..][..batch];
-            if v.iter().all(|&c| c == 0) {
-                continue;
-            }
-            for (i, &t) in row.iter().enumerate() {
-                B::mul_acc_i64(&mut odd[i * batch..(i + 1) * batch], t, v);
-            }
-        }
-        // Transposed butterflies expand the even half outward; the
-        // freshly-written bottom rows are write-only here.
-        let (lo, hi) = acc[..len * batch].split_at_mut(half * batch);
-        for i in 0..half {
-            let top = &mut lo[i * batch..(i + 1) * batch];
-            let bot = &mut hi[(half - 1 - i) * batch..(half - i) * batch];
-            B::butterfly_i64(top, bot, &odd[i * batch..(i + 1) * batch]);
-        }
-        len *= 2;
-    }
-}
-
 /// Batched float forward: `out[k * batch + b] = sum_i basis[k][i] *
 /// x_b[i]`, accumulated in the same `i` order (from an explicit `0.0`)
 /// as [`Dct::forward_into`]'s per-window sum, so each lane reproduces
@@ -752,31 +536,6 @@ fn forward_dispatch(
     }
 }
 
-fn inverse_dispatch(
-    tier: KernelTier,
-    plan: &IntButterflyPlan,
-    y: &[i32],
-    acc: &mut [i64],
-    odd: &mut [i64],
-    batch: usize,
-) {
-    match tier {
-        // SAFETY: the scalar backend uses no target-specific intrinsics.
-        KernelTier::Scalar => unsafe {
-            inverse_soa_body::<ScalarBackend>(plan, y, acc, odd, batch)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        KernelTier::Sse2 => unsafe { x86::inverse_soa_sse2(plan, y, acc, odd, batch) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the Avx2 tier is only constructed after runtime detection.
-        KernelTier::Avx2 => unsafe { x86::inverse_soa_avx2(plan, y, acc, odd, batch) },
-        #[cfg(not(target_arch = "x86_64"))]
-        // SAFETY: scalar fallback, no intrinsics.
-        _ => unsafe { inverse_soa_body::<ScalarBackend>(plan, y, acc, odd, batch) },
-    }
-}
-
 fn dct_forward_dispatch(tier: KernelTier, dct: &Dct, soa: &[f64], out: &mut [f64], batch: usize) {
     match tier {
         // SAFETY: the scalar backend uses no target-specific intrinsics.
@@ -797,13 +556,16 @@ fn dct_forward_dispatch(tier: KernelTier, dct: &Dct, soa: &[f64], out: &mut [f64
 
 // ---- Public plan types ----------------------------------------------
 
-/// A batched integer DCT plan: transforms N concatenated windows per
-/// call through the SoA butterfly kernels, bit-identically to the
-/// per-window [`IntDct`] entry points.
+/// A batched integer forward DCT plan, the encode kernel: transforms N
+/// concatenated windows per call through the SoA butterfly kernel,
+/// bit-identically to per-window [`IntDct::forward_into`] calls. The
+/// inverse stays per window ([`IntDct::inverse_into`] and the fused
+/// [`crate::sparse`] decoder).
 ///
-/// The plan owns its SoA staging buffers, which is why the batched
-/// methods take `&mut self`; steady-state reuse performs zero heap
-/// allocations once the buffers have grown to the chunk size.
+/// The plan owns its SoA staging buffers, which is why
+/// [`Self::forward_batched_into`] takes `&mut self`; steady-state reuse
+/// performs zero heap allocations once the buffers have grown to the
+/// chunk size.
 ///
 /// # Example
 ///
@@ -816,10 +578,12 @@ fn dct_forward_dispatch(tier: KernelTier, dct: &Dct, soa: &[f64], out: &mut [f64
 /// let mut coeffs = vec![0i32; 16 * 5];
 /// plan.forward_batched_into(&windows, &mut coeffs);
 ///
-/// let mut back = vec![0.0f64; 16 * 5];
-/// plan.inverse_f64_batched_into(&coeffs, 0, &mut back);
-/// for (a, b) in windows.iter().zip(&back) {
-///     assert!((a.to_f64() - b).abs() < 2e-3);
+/// let mut back = vec![Q15::ZERO; 16];
+/// for (y, w) in coeffs.chunks_exact(16).zip(windows.chunks_exact(16)) {
+///     plan.transform().inverse_into(y, &mut back);
+///     for (a, b) in w.iter().zip(&back) {
+///         assert!((a.to_f64() - b.to_f64()).abs() < 2e-3);
+///     }
 /// }
 /// # Ok::<(), compaqt_dsp::intdct::UnsupportedSizeError>(())
 /// ```
@@ -833,10 +597,6 @@ pub struct BatchedIntDctPlan {
     diff: Vec<i32>,
     /// Forward SoA output rows, `n * chunk` lanes.
     out_soa: Vec<i32>,
-    /// Inverse i64 accumulator rows, `n * chunk` lanes.
-    acc: Vec<i64>,
-    /// Inverse odd-bank scratch rows, `(n/2) * chunk` lanes.
-    odd: Vec<i64>,
     /// Basis row sums `sum_i T[k][i]`: a constant window `x` transforms
     /// to `x * row_sums[k]` before rounding.
     row_sums: Vec<i32>,
@@ -873,8 +633,6 @@ impl BatchedIntDctPlan {
             soa: Vec::new(),
             diff: Vec::new(),
             out_soa: Vec::new(),
-            acc: Vec::new(),
-            odd: Vec::new(),
             row_sums,
             dense: Vec::new(),
         }
@@ -984,107 +742,6 @@ impl BatchedIntDctPlan {
                 }
             }
         }
-    }
-
-    /// Batched [`IntDct::inverse_into`]: reconstructs Q1.15 samples from
-    /// `coeffs.len() / ws` concatenated coefficient windows,
-    /// bit-identically to the per-window kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coeffs.len()` is not a multiple of the window size or
-    /// `out.len() != coeffs.len()`.
-    pub fn inverse_batched_into(&mut self, coeffs: &[i32], out: &mut [Q15]) {
-        let n = self.dct.len();
-        assert!(coeffs.len().is_multiple_of(n), "input must be whole windows");
-        assert_eq!(out.len(), coeffs.len(), "output length must match input length");
-        if self.dct.butterfly().is_none() {
-            for (y, o) in coeffs.chunks_exact(n).zip(out.chunks_exact_mut(n)) {
-                self.dct.inverse_into(y, o);
-            }
-            return;
-        }
-        let shift = self.dct.inverse_shift();
-        let rnd = 1i64 << (shift - 1);
-        for (cchunk, ochunk) in
-            coeffs.chunks(n * MAX_BATCH_CHUNK).zip(out.chunks_mut(n * MAX_BATCH_CHUNK))
-        {
-            let batch = cchunk.len() / n;
-            self.run_inverse_chunk(cchunk, batch);
-            for (w, dst) in ochunk.chunks_exact_mut(n).enumerate() {
-                for (o, &a) in dst.iter_mut().zip(self.acc[w..].iter().step_by(batch)) {
-                    let v = (a + rnd) >> shift;
-                    *o = Q15::from_raw(v.clamp(i64::from(i16::MIN), i64::from(i16::MAX)) as i16);
-                }
-            }
-        }
-    }
-
-    /// Batched [`IntDct::inverse_f64_into`]: fused dequantize (left
-    /// shift by `pre_shift` inside the exact accumulator) + inverse +
-    /// Q1.15-to-`f64`, bit-identical to the per-window kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coeffs.len()` is not a multiple of the window size or
-    /// `out.len() != coeffs.len()`.
-    pub fn inverse_f64_batched_into(&mut self, coeffs: &[i32], pre_shift: u32, out: &mut [f64]) {
-        let n = self.dct.len();
-        assert!(coeffs.len().is_multiple_of(n), "input must be whole windows");
-        assert_eq!(out.len(), coeffs.len(), "output length must match input length");
-        if self.dct.butterfly().is_none() {
-            for (y, o) in coeffs.chunks_exact(n).zip(out.chunks_exact_mut(n)) {
-                self.dct.inverse_f64_into(y, pre_shift, o);
-            }
-            return;
-        }
-        let shift = self.dct.inverse_shift();
-        let rnd = 1i64 << (shift - 1);
-        for (cchunk, ochunk) in
-            coeffs.chunks(n * MAX_BATCH_CHUNK).zip(out.chunks_mut(n * MAX_BATCH_CHUNK))
-        {
-            let batch = cchunk.len() / n;
-            self.run_inverse_chunk(cchunk, batch);
-            for (w, dst) in ochunk.chunks_exact_mut(n).enumerate() {
-                for (o, &a) in dst.iter_mut().zip(self.acc[w..].iter().step_by(batch)) {
-                    let v = ((a << pre_shift) + rnd) >> shift;
-                    let raw = v.clamp(i64::from(i16::MIN), i64::from(i16::MAX)) as i16;
-                    *o = f64::from(raw) / 32768.0;
-                }
-            }
-        }
-    }
-
-    /// Stages one chunk of AoS coefficients into SoA and runs the
-    /// batched transposed kernel, leaving the raw accumulators in
-    /// `self.acc`. Callers finalize with their own rounding.
-    fn run_inverse_chunk(&mut self, cchunk: &[i32], batch: usize) {
-        let n = self.dct.len();
-        if self.soa.len() < n * batch {
-            self.soa.resize(n * batch, 0);
-        }
-        if self.acc.len() < n * batch {
-            self.acc.resize(n * batch, 0);
-        }
-        if self.odd.len() < n / 2 * batch {
-            self.odd.resize(n / 2 * batch, 0);
-        }
-        // Transpose in: lane rows are contiguous writes, window reads
-        // stride by `n` (bounds-check-free via `step_by`).
-        for (k, row) in self.soa[..n * batch].chunks_exact_mut(batch).enumerate() {
-            for (o, &c) in row.iter_mut().zip(cchunk[k..].iter().step_by(n)) {
-                *o = c;
-            }
-        }
-        let bf = self.dct.butterfly().expect("checked by callers");
-        inverse_dispatch(
-            self.tier,
-            bf,
-            &self.soa[..n * batch],
-            &mut self.acc[..n * batch],
-            &mut self.odd[..n / 2 * batch],
-            batch,
-        );
     }
 }
 
@@ -1270,61 +927,9 @@ mod tests {
     }
 
     #[test]
-    fn inverse_batched_matches_per_window_on_all_tiers() {
-        for ws in SUPPORTED_SIZES {
-            for tier in tiers_to_test() {
-                for batch in [1usize, 3, MAX_BATCH_CHUNK + 2] {
-                    let mut state = 0xBEEF_0000_0000_0002 ^ (ws as u64) << 8 ^ batch as u64;
-                    // Mix of dense, sparse and hostile-extreme windows.
-                    let coeffs: Vec<i32> = (0..ws * batch)
-                        .map(|j| match j % 7 {
-                            0 => xorshift(&mut state),
-                            1..=3 => 0,
-                            4 => i32::MAX,
-                            5 => i32::MIN,
-                            _ => xorshift(&mut state) >> 12,
-                        })
-                        .collect();
-                    let mut plan = BatchedIntDctPlan::with_tier(IntDct::new(ws).unwrap(), tier);
-                    let mut batched = vec![Q15::ZERO; ws * batch];
-                    plan.inverse_batched_into(&coeffs, &mut batched);
-                    let mut per = vec![Q15::ZERO; ws * batch];
-                    for (y, o) in coeffs.chunks_exact(ws).zip(per.chunks_exact_mut(ws)) {
-                        plan.transform().inverse_into(y, o);
-                    }
-                    assert_eq!(batched, per, "ws={ws} tier={tier:?} batch={batch}");
-
-                    for pre_shift in [0u32, 2] {
-                        let mut batched = vec![0.0f64; ws * batch];
-                        plan.inverse_f64_batched_into(&coeffs, pre_shift, &mut batched);
-                        let mut per = vec![0.0f64; ws * batch];
-                        for (y, o) in coeffs.chunks_exact(ws).zip(per.chunks_exact_mut(ws)) {
-                            plan.transform().inverse_f64_into(y, pre_shift, o);
-                        }
-                        assert_eq!(
-                            batched, per,
-                            "ws={ws} tier={tier:?} batch={batch} pre_shift={pre_shift}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn all_zero_batch_stays_zero() {
-        let mut plan = BatchedIntDctPlan::new(16).unwrap();
-        let coeffs = vec![0i32; 16 * 6];
-        let mut out = vec![1.0f64; 16 * 6];
-        plan.inverse_f64_batched_into(&coeffs, 2, &mut out);
-        assert!(out.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
     fn empty_batch_is_a_no_op() {
         let mut plan = BatchedIntDctPlan::new(8).unwrap();
         plan.forward_batched_into(&[], &mut []);
-        plan.inverse_f64_batched_into(&[], 2, &mut []);
         let mut fplan = BatchedDct::new(8);
         fplan.forward_batched_into(&[], &mut []);
     }

@@ -21,8 +21,8 @@
 //!   exactly the normative 32-point matrix), multiplierless when lowered
 //!   through [`csd`]. The forward defaults to the factorized butterfly
 //!   kernel, bit-exact with the dense matrix oracle it keeps alongside;
-//!   the sparse matrix inverse is the oracle for the batched factorized
-//!   inverse.
+//!   the sparse matrix inverse is the oracle for the fused [`sparse`]
+//!   decoder and its fallback for repeat-previous windows.
 //! * [`csd`] — canonical-signed-digit decomposition used to replace constant
 //!   multipliers with shift-and-add networks, plus the resource-count model
 //!   behind Table IV.
@@ -35,11 +35,12 @@
 //! * [`plan`] — the reusable fast-DCT plan ([`plan::DctPlan`], the one
 //!   `DCT-N` kernel) with caller-provided output buffers, plus the
 //!   bounded keyed [`plan::DctPlanCache`] for mixed-length workloads.
-//! * [`batched`] — structure-of-arrays batch transforms
-//!   ([`batched::BatchedIntDctPlan`], [`batched::BatchedDct`]) that
-//!   process many windows per call through runtime-dispatched
-//!   SSE2/AVX2 kernels with a mandatory scalar fallback, bit-identical
-//!   to the per-window kernels.
+//! * [`batched`] — structure-of-arrays batch forward transforms, the
+//!   encode kernels ([`batched::BatchedIntDctPlan`],
+//!   [`batched::BatchedDct`]), that process many windows per call
+//!   through runtime-dispatched SSE2/AVX2 kernels with a mandatory
+//!   scalar fallback, bit-identical to the per-window kernels. Decode
+//!   stays per window, in [`sparse`].
 //!
 //! # Plans and buffer reuse
 //!

@@ -172,21 +172,21 @@ pub fn loeffler_idct8(y: &[f64; 8]) -> [f64; 8] {
 /// path in [`crate::intdct::IntDct`].
 pub const MAX_BUTTERFLY_LEN: usize = 64;
 
-/// A factorized fixed-point forward/inverse DCT kernel for one
-/// power-of-two length: the Loeffler reflection-butterfly stages applied
-/// recursively to the even half of an integer DCT matrix, with each odd
-/// half kept as a dense bank of integer rotators.
+/// A factorized fixed-point forward DCT kernel for one power-of-two
+/// length: the Loeffler reflection-butterfly stages applied recursively
+/// to the even half of an integer DCT matrix, with each odd half kept as
+/// a dense bank of integer rotators.
 ///
 /// # Exactness contract
 ///
 /// [`IntButterflyPlan::forward_accumulate`] computes *exactly*
 /// `out[k] = sum_i T[k][i] * x[i]` for the matrix `T` the plan was built
-/// from, and the batched SoA inverse in [`crate::batched`] replays the
-/// transposed flowgraph to get exactly `out[i] = sum_k T[k][i] * y[k]` —
-/// the factorization only reorders integer additions, which are
-/// associative, so both directions are bit-identical to the dense
-/// matrix multiply (the `transform_equivalence` suite proptests this
-/// against the matrix oracle for every supported window size). The uniform flowgraph scale
+/// from, and the batched SoA forward in [`crate::batched`] replays the
+/// same flowgraph across a window batch — the factorization only
+/// reorders integer additions, which are associative, so both are
+/// bit-identical to the dense matrix multiply (the
+/// `transform_equivalence` suite proptests this against the matrix
+/// oracle for every supported window size). The uniform flowgraph scale
 /// therefore stays folded wherever the matrix's scale already lives:
 /// the caller's `forward_shift`/quantization constants are untouched.
 ///
@@ -289,11 +289,6 @@ impl IntButterflyPlan {
     pub(crate) fn rows_at(&self, level: usize) -> &[i32] {
         let half = self.n >> (level + 1);
         &self.odd[self.level_off[level]..self.level_off[level] + half * half]
-    }
-
-    /// Number of butterfly recursion levels (`log2 n`).
-    pub(crate) fn level_count(&self) -> usize {
-        self.level_off.len()
     }
 
     /// The 1x1 base-case gain `T[0][0]`.

@@ -270,6 +270,48 @@ fn steady_state_library_codec_allocates_nothing() {
         slots.len()
     );
 
+    // ---- Dense decode: `sycamore-53`'s library is the fleet's densest
+    // at WS=16, with about half its channels storing at least half a
+    // word per sample. Those windows carry many coefficient words each,
+    // and the fused decode kernel must stay off the heap for them too.
+    use compaqt::core::compress::ChannelData;
+    let sycamore = compaqt::pulse::registry::Registry::builtin()
+        .get("sycamore-53")
+        .expect("a builtin fleet device")
+        .build_library();
+    let dense: Vec<CompressedWaveform> =
+        sycamore.iter().map(|(_, wf)| compressor.compress(wf).unwrap()).collect();
+    let dense_channels = dense
+        .iter()
+        .flat_map(|z| [&z.i, &z.q])
+        .filter(|c| match c {
+            ChannelData::Windows(w) => 2 * w.iter().map(Vec::len).sum::<usize>() >= 16 * w.len(),
+            _ => false,
+        })
+        .count();
+    assert!(dense_channels > 0, "sycamore-53 must have channels at fill >= 1/2");
+    for _ in 0..2 {
+        for z in &dense {
+            engine.decompress_into(z, &mut scratch, &mut i, &mut q).unwrap();
+        }
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut dense_samples = 0usize;
+    for _ in 0..10 {
+        for z in &dense {
+            dense_samples +=
+                engine.decompress_into(z, &mut scratch, &mut i, &mut q).unwrap().output_samples;
+        }
+    }
+    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert!(dense_samples > 0);
+    assert_eq!(
+        delta,
+        0,
+        "steady-state decode of sycamore-53 ({} waveforms, {dense_channels} dense channels) x 10 passes must not allocate, saw {delta}",
+        dense.len()
+    );
+
     // ---- Serving path: steady-state store fetches allocate nothing.
     // The sharded store adds lock acquisition, the map lookup, the
     // thread-local scratch and counter updates around the same decode —

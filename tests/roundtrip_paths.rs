@@ -12,15 +12,16 @@
 //! (plain, overlapped, adaptive).
 
 use compaqt::core::batch;
-use compaqt::core::compress::{CompressedWaveform, Compressor, Variant};
+use compaqt::core::compress::{ChannelData, CompressedWaveform, Compressor, Variant};
 use compaqt::core::engine::{DecodeScratch, DecompressionEngine, EncodeScratch};
+use compaqt::dsp::intdct::SUPPORTED_SIZES;
 use compaqt::pulse::waveform::Waveform;
 use proptest::prelude::*;
 
 /// All variants the codec supports, across every window size.
 fn all_variants() -> Vec<Variant> {
     let mut v = vec![Variant::Delta, Variant::DctN];
-    for ws in compaqt::dsp::intdct::SUPPORTED_SIZES {
+    for ws in SUPPORTED_SIZES {
         v.push(Variant::DctW { ws });
         v.push(Variant::IntDctW { ws });
     }
@@ -47,15 +48,37 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn every_variant_agrees_across_paths(xs in smooth_signal(160)) {
+    fn every_variant_agrees_across_paths(
+        xs in smooth_signal(160),
+        noise in proptest::collection::vec(-1.0f64..1.0, 2 * 160),
+    ) {
         let wf = Waveform::from_real("prop", xs, 4.54);
+        let mut streams: Vec<CompressedWaveform> =
+            all_variants().into_iter().map(|v| Compressor::new(v).compress(&wf).unwrap()).collect();
+        // White noise on both channels with nothing thresholded away: every
+        // int-DCT channel stores at least half a word per sample, the
+        // densest streams the decoder sees.
+        let (ni, nq) = noise.split_at(160);
+        let dense = Waveform::new("noise", ni.to_vec(), nq.to_vec(), 4.54);
+        for ws in SUPPORTED_SIZES {
+            let z = Compressor::new(Variant::IntDctW { ws }).with_threshold(0.0).compress(&dense).unwrap();
+            for channel in [&z.i, &z.q] {
+                let ChannelData::Windows(windows) = channel else {
+                    panic!("ws={ws}: int-DCT channel is not windowed");
+                };
+                let words: usize = windows.iter().map(Vec::len).sum();
+                let samples = windows.len() * ws;
+                prop_assert!(2 * words >= samples, "ws={}: fill {}/{} below 1/2", ws, words, samples);
+            }
+            streams.push(z);
+        }
         let mut scratch = DecodeScratch::new();
         let (mut i, mut q) = (Vec::new(), Vec::new());
-        for variant in all_variants() {
-            let z = Compressor::new(variant).compress(&wf).unwrap();
+        for z in &streams {
+            let variant = z.variant;
             let engine = DecompressionEngine::for_variant(variant).unwrap();
-            let (alloc, alloc_stats) = engine.decompress(&z).unwrap();
-            let stats = engine.decompress_into(&z, &mut scratch, &mut i, &mut q).unwrap();
+            let (alloc, alloc_stats) = engine.decompress(z).unwrap();
+            let stats = engine.decompress_into(z, &mut scratch, &mut i, &mut q).unwrap();
             prop_assert_eq!(alloc.i(), &i[..], "{:?}: I channel must be bit-exact", variant);
             prop_assert_eq!(alloc.q(), &q[..], "{:?}: Q channel must be bit-exact", variant);
             prop_assert_eq!(alloc_stats, stats);
@@ -68,7 +91,7 @@ proptest! {
         ws_idx in 0usize..5,
     ) {
         // Padding paths: waveform length not a multiple of the window.
-        let ws = compaqt::dsp::intdct::SUPPORTED_SIZES[ws_idx];
+        let ws = SUPPORTED_SIZES[ws_idx];
         let wf = Waveform::from_real("prop", xs, 4.54);
         let mut scratch = DecodeScratch::new();
         let (mut i, mut q) = (Vec::new(), Vec::new());

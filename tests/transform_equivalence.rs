@@ -8,25 +8,29 @@
 //! no max-ulp bound to manage. This suite drives both kernels over
 //! hostile deterministic patterns (full-scale DC, all-min, alternating
 //! sign, impulses) and proptest-generated random windows, asserts `==`
-//! on the coefficient streams in both directions, and closes the loop
-//! with round-trip composition checks.
-
+//! on the coefficient streams, and closes the loop with a round trip
+//! through the production decoder: factorized forward, run-length
+//! coding, then the fused RLE + sparse inverse
+//! (`sparse::inverse_rle_f64_into`), held bit-for-bit to the matrix
+//! forward and the sparse matrix inverse (`IntDct::inverse_f64_into`).
 //!
-//! The batched structure-of-arrays kernels ([`BatchedIntDctPlan`],
-//! [`BatchedDct`]) extend the same contract across windows: transforming
-//! N concatenated windows in one call must be bit-identical to N
-//! per-window calls, on every SIMD tier the machine can run, for every
-//! batch size including ragged tails past the internal chunk width. The
-//! batched inverse is the codec's only factorized inverse, so it is held
-//! to the sparse matrix inverse (`IntDct::inverse_into`) directly. The
-//! batched forward writes constant windows in closed form and gathers
-//! only the others into SoA chunks, so mixed batches of both kinds are
-//! held to the matrix oracle too.
+//! The batched structure-of-arrays forward kernels
+//! ([`BatchedIntDctPlan`], [`BatchedDct`]) extend the same contract
+//! across windows: transforming N concatenated windows in one call must
+//! be bit-identical to N per-window calls, on every SIMD tier the
+//! machine can run, for every batch size including ragged tails past the
+//! internal chunk width. The batched forward writes constant windows in
+//! closed form and gathers only the others into SoA chunks, so mixed
+//! batches of both kinds are held to the matrix oracle too. The inverse
+//! is not batched: decode runs one window at a time through the fused
+//! kernel, whose own tier suite lives in `compaqt_dsp::sparse`.
 
 use compaqt::dsp::batched::{BatchedDct, BatchedIntDctPlan, KernelTier, MAX_BATCH_CHUNK};
 use compaqt::dsp::dct::Dct;
 use compaqt::dsp::fixed::Q15;
 use compaqt::dsp::intdct::{IntDct, SUPPORTED_SIZES};
+use compaqt::dsp::rle::{CodedWord, RleEncoder};
+use compaqt::dsp::sparse::inverse_rle_f64_into;
 use proptest::prelude::*;
 
 /// The window sizes the issue calls out explicitly, plus the rest of the
@@ -67,32 +71,6 @@ fn factorized_forward_is_default_and_bit_exact_on_hostile_windows() {
             plan.forward_into(&x, &mut fast);
             plan.forward_matrix_into(&x, &mut oracle);
             assert_eq!(fast, oracle, "ws={ws} case {name}");
-        }
-    }
-}
-
-#[test]
-fn factorized_inverse_is_bit_exact_on_hostile_coefficients() {
-    // The inverse accepts arbitrary i32 coefficients (hostile streams
-    // included); the factorized inverse (the batched plan, one window at
-    // a time, on the dispatched tier) and the sparse matrix oracle both
-    // accumulate in i64, so they must agree even at the extreme corners
-    // of the coefficient range.
-    for ws in EQUIV_SIZES {
-        let t = IntDct::new(ws).unwrap();
-        let mut bp = BatchedIntDctPlan::from_transform(t.clone());
-        let hostile: [Vec<i32>; 4] = [
-            vec![i32::MAX; ws],
-            vec![i32::MIN; ws],
-            (0..ws).map(|k| if k % 2 == 0 { i32::MAX } else { i32::MIN }).collect(),
-            (0..ws).map(|k| if k == ws - 1 { i32::MIN } else { 0 }).collect(),
-        ];
-        let mut a = vec![Q15::ZERO; ws];
-        let mut b = vec![Q15::ZERO; ws];
-        for y in &hostile {
-            t.inverse_into(y, &mut a);
-            bp.inverse_batched_into(y, &mut b);
-            assert_eq!(a, b, "ws={ws}");
         }
     }
 }
@@ -142,50 +120,6 @@ fn batched_forward_is_bit_exact_on_hostile_windows_across_tiers() {
 }
 
 #[test]
-fn batched_inverse_is_bit_exact_on_hostile_coefficients_across_tiers() {
-    // The inverse accepts arbitrary i32 coefficients (hostile streams
-    // included); the factorized transpose and the sparse matrix oracle
-    // both accumulate in i64, so they must agree even at the extreme
-    // corners of the coefficient range, in both output formats.
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    for ws in EQUIV_SIZES {
-        let t = IntDct::new(ws).unwrap();
-        let hostile: [Vec<i32>; 4] = [
-            vec![i32::MAX; ws],
-            vec![i32::MIN; ws],
-            (0..ws).map(|k| if k % 2 == 0 { i32::MAX } else { i32::MIN }).collect(),
-            (0..ws).map(|k| if k == ws - 1 { i32::MIN } else { 0 }).collect(),
-        ];
-        let mut expected = vec![Q15::ZERO; ws];
-        let mut expected_f64 = vec![0.0f64; ws];
-        for y in &hostile {
-            t.inverse_into(y, &mut expected);
-            t.inverse_f64_into(y, 2, &mut expected_f64);
-            for batch in BATCH_SIZES {
-                let coeffs: Vec<i32> = y.iter().copied().cycle().take(ws * batch).collect();
-                let mut out = vec![Q15::ZERO; ws * batch];
-                let mut out_f64 = vec![0.0f64; ws * batch];
-                for tier in runnable_tiers() {
-                    let mut bp = BatchedIntDctPlan::with_tier(t.clone(), tier);
-                    bp.inverse_batched_into(&coeffs, &mut out);
-                    bp.inverse_f64_batched_into(&coeffs, 2, &mut out_f64);
-                    for (w, (got, got_f64)) in
-                        out.chunks_exact(ws).zip(out_f64.chunks_exact(ws)).enumerate()
-                    {
-                        assert_eq!(got, expected, "ws={ws} batch={batch} tier={tier:?} window={w}");
-                        assert_eq!(
-                            bits(got_f64),
-                            bits(&expected_f64),
-                            "ws={ws} batch={batch} tier={tier:?} window={w} f64"
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn force_scalar_plan_agrees_with_detected_dispatch() {
     // `from_transform` picks up whatever `KernelTier::detected()` chose
     // for this process (honoring COMPAQT_FORCE_SCALAR); pinning Scalar
@@ -204,12 +138,6 @@ fn force_scalar_plan_agrees_with_detected_dispatch() {
         assert_eq!(dispatched.tier(), KernelTier::detected());
         dispatched.forward_batched_into(&windows, &mut dispatch_out);
         assert_eq!(scalar_out, dispatch_out, "ws={ws}");
-        let mut scalar_back = vec![Q15::ZERO; ws * batch];
-        let mut dispatch_back = vec![Q15::ZERO; ws * batch];
-        BatchedIntDctPlan::with_tier(IntDct::new(ws).unwrap(), KernelTier::Scalar)
-            .inverse_batched_into(&scalar_out, &mut scalar_back);
-        dispatched.inverse_batched_into(&dispatch_out, &mut dispatch_back);
-        assert_eq!(scalar_back, dispatch_back, "ws={ws} inverse");
     }
 }
 
@@ -239,40 +167,6 @@ proptest! {
                 let mut bp = BatchedIntDctPlan::with_tier(IntDct::new(ws).unwrap(), tier);
                 bp.forward_batched_into(&windows, &mut batched);
                 prop_assert_eq!(&batched, &per_window, "ws={} batch={} tier={:?}", ws, batch, tier);
-            }
-        }
-    }
-
-    #[test]
-    fn batched_inverses_match_per_window_on_random_batches(
-        raw in proptest::collection::vec(proptest::num::i32::ANY, 64 * (MAX_BATCH_CHUNK + 5)),
-        batch in 1usize..=MAX_BATCH_CHUNK + 5,
-    ) {
-        for ws in EQUIV_SIZES {
-            let coeffs = &raw[..ws * batch];
-            let t = IntDct::new(ws).unwrap();
-            let mut per_window = vec![Q15::ZERO; ws * batch];
-            let mut per_window_f64 = vec![0.0f64; ws * batch];
-            for (y, (q, f)) in coeffs.chunks_exact(ws).zip(
-                per_window.chunks_exact_mut(ws).zip(per_window_f64.chunks_exact_mut(ws)),
-            ) {
-                t.inverse_into(y, q);
-                t.inverse_f64_into(y, 2, f);
-            }
-            let mut batched_q = vec![Q15::ZERO; ws * batch];
-            let mut batched_f = vec![0.0f64; ws * batch];
-            for tier in runnable_tiers() {
-                let mut bp = BatchedIntDctPlan::with_tier(t.clone(), tier);
-                bp.inverse_batched_into(coeffs, &mut batched_q);
-                prop_assert_eq!(&batched_q, &per_window, "ws={} batch={} tier={:?}", ws, batch, tier);
-                bp.inverse_f64_batched_into(coeffs, 2, &mut batched_f);
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-                prop_assert_eq!(
-                    bits(&batched_f),
-                    bits(&per_window_f64),
-                    "ws={} batch={} tier={:?} f64",
-                    ws, batch, tier
-                );
             }
         }
     }
@@ -322,12 +216,12 @@ proptest! {
 
     #[test]
     fn round_trip_composition_is_kernel_independent(raw in proptest::collection::vec(proptest::num::i16::ANY, 64)) {
-        // forward -> inverse through the factorized kernels (the batched
-        // inverse is the factorized one) must land on the same samples
-        // as matrix -> matrix: with identical coefficient streams
-        // (asserted above) and bit-exact inverses, the composition
-        // cannot diverge — this closes the loop on the full factorized
-        // round trip.
+        // Factorized forward -> run-length coding -> fused sparse inverse
+        // (the production decode kernel) must land on the same bits as
+        // matrix forward -> sparse matrix inverse of the same stored
+        // (15-bit clamped) coefficients: with identical coefficient
+        // streams and bit-exact inverses, the composition cannot
+        // diverge — this closes the loop on the production round trip.
         for ws in EQUIV_SIZES {
             let x: Vec<Q15> = raw[..ws].iter().map(|&r| Q15::from_raw(r)).collect();
             let t = IntDct::new(ws).unwrap();
@@ -336,11 +230,15 @@ proptest! {
             t.forward_into(&x, &mut y_fast);
             t.forward_matrix_into(&x, &mut y_oracle);
             prop_assert_eq!(&y_fast, &y_oracle, "ws={} coefficients", ws);
-            let mut back_fast = vec![Q15::ZERO; ws];
-            let mut back_oracle = vec![Q15::ZERO; ws];
-            BatchedIntDctPlan::from_transform(t.clone()).inverse_batched_into(&y_fast, &mut back_fast);
-            t.inverse_into(&y_oracle, &mut back_oracle);
-            prop_assert_eq!(back_fast, back_oracle, "ws={} reconstruction", ws);
+            let words = RleEncoder::new().encode_window(&y_fast);
+            let stored: Vec<i32> =
+                y_oracle.iter().map(|&c| i32::from(CodedWord::clamp_coeff(c))).collect();
+            let mut back_fused = vec![0.0f64; ws];
+            let mut back_oracle = vec![0.0f64; ws];
+            inverse_rle_f64_into(&t, &words, 2, &mut Vec::new(), &mut back_fused).unwrap();
+            t.inverse_f64_into(&stored, 2, &mut back_oracle);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            prop_assert_eq!(bits(&back_fused), bits(&back_oracle), "ws={} reconstruction", ws);
         }
     }
 
