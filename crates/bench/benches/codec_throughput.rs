@@ -19,12 +19,16 @@
 //! `forward_batched_*` SoA row (64 windows per call, runtime-dispatched
 //! SIMD); the batched rows are gated to meet or beat the per-window rows
 //! on elements/s in the same run. Their inputs are sine windows, none of
-//! them constant; the ungated `forward_batched_library_ws16` row runs
-//! the same kernel over the 433-qubit fleet's real staged windows,
-//! where most windows are constant and take the closed-form shortcut.
-//! On the inverse side, `inverse_rle_dense_ws16` times the fused decode
-//! kernel on a fully dense window, its worst case, and is gated to meet
-//! or beat the per-window matrix inverse `inverse_ws16` in the same run.
+//! them constant. The ungated `encode_channel_library_ws16` row runs the
+//! int-DCT-W channel encode over the 433-qubit fleet's real channels,
+//! where most windows are constant: the encoder classifies them as it
+//! stages them and writes their DC word in closed form, so only the rest
+//! reach the batched forward. On the inverse side,
+//! `inverse_rle_dense_ws16` times the fused decode kernel on a fully
+//! dense window, its worst case, and is gated to meet or beat the
+//! per-window matrix inverse `inverse_ws16` in the same run; the ungated
+//! `inverse_rle_dc_ws16` row times the same kernel on a DC-only window,
+//! the shape most stored windows have, which it decodes in closed form.
 //!
 //! The serving path is measured too: `store_fetch/cold_fetch_into`
 //! (sharded-store streaming fetch, decodes every call) vs
@@ -49,9 +53,9 @@ use compaqt_core::compress::{CompressedWaveform, Compressor, Variant};
 use compaqt_core::engine::{DecodeScratch, DecompressionEngine, EncodeScratch, EngineStats};
 use compaqt_core::store::Store;
 use compaqt_dsp::batched::BatchedIntDctPlan;
-use compaqt_dsp::fixed::{quantize_into, Q15};
+use compaqt_dsp::fixed::Q15;
 use compaqt_dsp::intdct::IntDct;
-use compaqt_dsp::rle::CodedWord;
+use compaqt_dsp::rle::{CodedWord, RleCodeword};
 use compaqt_dsp::sparse::inverse_rle_f64_into;
 use compaqt_pulse::device::Device;
 use compaqt_pulse::shapes::{Drag, GaussianSquare, PulseShape};
@@ -134,40 +138,44 @@ fn bench_intdct_kernel(c: &mut Criterion) {
                     black_box(out[0])
                 })
             });
+            // A flat-top window as the encoder stores it: one DC word and
+            // a zero run, decoded in closed form (no gate).
+            let dc = [
+                CodedWord::Coeff(2047),
+                CodedWord::Rle(RleCodeword { run: 15, repeat_previous: false }),
+            ];
+            group.bench_function(format!("inverse_rle_dc_ws{ws}"), |b| {
+                b.iter(|| {
+                    inverse_rle_f64_into(&t, black_box(&dc), 2, &mut coeffs, black_box(&mut out))
+                        .unwrap();
+                    black_box(out[0])
+                })
+            });
         }
     }
-    // The batched forward over a real library's staged windows (no gate):
-    // hex-433's I and Q channels, each Q15-staged and zero-padded to
-    // whole windows as the encoder stages them. Most of these windows
-    // are constant (all zero or a flat top), which the sine rows above
-    // never are; this row shows what the constant-window shortcut buys.
-    let windows = staged_library_windows("hex-433", 16);
-    let mut plan = BatchedIntDctPlan::new(16).unwrap();
-    let mut coeffs = vec![0i32; windows.len()];
-    group.throughput(Throughput::Elements(windows.len() as u64));
-    group.bench_function("forward_batched_library_ws16", |b| {
+    // The int-DCT-W channel encode over a real library (no gate):
+    // hex-433's I and Q channels. Most of their windows are constant
+    // (all zero or a flat top), which the sine rows above never are;
+    // this row shows what classifying them at staging buys.
+    let registry = compaqt_pulse::registry::Registry::builtin();
+    let library = registry.get("hex-433").expect("a builtin fleet device").build_library();
+    let channels: Vec<&[f64]> =
+        library.iter_sorted().flat_map(|(_, wf)| [wf.i(), wf.q()]).collect();
+    let compressor = Compressor::new(Variant::IntDctW { ws: 16 });
+    let mut scratch = EncodeScratch::new();
+    let mut coeffs = Vec::new();
+    group.throughput(Throughput::Elements(channels.iter().map(|c| c.len() as u64).sum()));
+    group.bench_function("encode_channel_library_ws16", |b| {
         b.iter(|| {
-            plan.forward_batched_into(black_box(&windows), black_box(&mut coeffs));
-            black_box(coeffs[0])
+            for channel in &channels {
+                compressor
+                    .encode_channel_into(black_box(channel), &mut scratch, &mut coeffs)
+                    .unwrap();
+            }
+            black_box(coeffs.len())
         })
     });
     group.finish();
-}
-
-/// Every channel of a fleet device's pulse library, Q15-staged and
-/// zero-padded to whole `ws`-sample windows, concatenated.
-fn staged_library_windows(device: &str, ws: usize) -> Vec<Q15> {
-    let registry = compaqt_pulse::registry::Registry::builtin();
-    let library = registry.get(device).expect("a builtin fleet device").build_library();
-    let mut windows = Vec::new();
-    for (_, wf) in library.iter_sorted() {
-        for channel in [wf.i(), wf.q()] {
-            let start = windows.len();
-            windows.resize(start + channel.len().div_ceil(ws) * ws, Q15::ZERO);
-            quantize_into(channel, &mut windows[start..start + channel.len()]);
-        }
-    }
-    windows
 }
 
 fn bench_compress(c: &mut Criterion) {

@@ -25,14 +25,19 @@
 //!
 //! For `int-DCT-W` the encoder does only the work that varies between
 //! windows. Most windows of a real pulse library are constant once
-//! staged to Q1.15 (all zero, or one flat-top value); the batched
-//! forward writes such a window's coefficients in closed form, `x`
-//! times each basis row sum, rounded and saturated exactly as the
-//! butterfly would be. The transform is linear and the product is exact
-//! in `i32`, so the coefficients match the matrix oracle bit for bit
-//! (see [`compaqt_dsp::batched::BatchedIntDctPlan::forward_batched_into`]).
-//! Threshold and store-quantize then run as one fused pass over the
-//! channel's flat coefficients.
+//! staged to Q1.15 (all zero, or one flat-top value): 83-84% of the
+//! WS=16 windows of the `hex-433` and `surface-d5` fleet libraries. Each
+//! window is classified once, as it is staged. Row 0 of the transform
+//! is the constant 64 and every other row sums to zero, so a constant
+//! window `x` is DC-only: the encoder writes its one coefficient,
+//! `(64 * ws * x + rnd) >> forward_shift`, thresholded and
+//! store-quantized, and nothing else. Only the varying windows go
+//! through the batched butterfly
+//! ([`compaqt_dsp::batched::BatchedIntDctPlan::forward_batched_into`])
+//! and the fused threshold + store-quantize pass. I/Q equalization
+//! reads the class too: a constant window keeps 0 or 1 words without a
+//! trailing-zero scan. The stored words are bit-identical to the
+//! per-window matrix oracle's.
 //!
 //! # When each variant wins
 //!
@@ -69,6 +74,7 @@
 
 use crate::engine::EncodeScratch;
 use crate::CompressError;
+use compaqt_dsp::batched::BatchedIntDctPlan;
 use compaqt_dsp::fixed::Q15;
 use compaqt_dsp::metrics::CompressionRatio;
 use compaqt_dsp::rle::{CodedWord, RleCodeword, MAX_COEFF, MIN_COEFF};
@@ -410,13 +416,15 @@ impl Compressor {
         let window = self.variant.window_size().unwrap_or(i.len());
         let mut i_coeffs = std::mem::take(&mut scratch.i_coeffs);
         let mut q_coeffs = std::mem::take(&mut scratch.q_coeffs);
+        let mut i_const = std::mem::take(&mut scratch.i_const);
+        let mut q_const = std::mem::take(&mut scratch.q_const);
         let result = self
-            .encode_channel_into(i, scratch, &mut i_coeffs)
-            .and_then(|()| self.encode_channel_into(q, scratch, &mut q_coeffs));
+            .encode_classified_into(i, scratch, &mut i_coeffs, &mut i_const)
+            .and_then(|()| self.encode_classified_into(q, scratch, &mut q_coeffs, &mut q_const));
         if result.is_ok() {
             equalize_into(
-                &i_coeffs,
-                &q_coeffs,
+                [&i_coeffs, &q_coeffs],
+                [&i_const, &q_const],
                 window,
                 self.max_window_words,
                 &mut out.i,
@@ -426,6 +434,8 @@ impl Compressor {
         }
         scratch.i_coeffs = i_coeffs;
         scratch.q_coeffs = q_coeffs;
+        scratch.i_const = i_const;
+        scratch.q_const = q_const;
         result
     }
 
@@ -453,8 +463,26 @@ impl Compressor {
         scratch: &mut EncodeScratch,
         coeffs: &mut Vec<i32>,
     ) -> Result<(), CompressError> {
+        let mut constant = std::mem::take(&mut scratch.i_const);
+        let result = self.encode_classified_into(samples, scratch, coeffs, &mut constant);
+        scratch.i_const = constant;
+        result
+    }
+
+    /// [`Compressor::encode_channel_into`], also returning one flag per
+    /// window in `constant`: whether the window was constant in Q1.15,
+    /// and so holds at most its DC coefficient. Only `int-DCT-W`
+    /// classifies; the other variants leave `constant` empty.
+    fn encode_classified_into(
+        &self,
+        samples: &[f64],
+        scratch: &mut EncodeScratch,
+        coeffs: &mut Vec<i32>,
+        constant: &mut Vec<bool>,
+    ) -> Result<(), CompressError> {
         self.variant.validate()?;
         coeffs.clear();
+        constant.clear();
         match self.variant {
             Variant::Delta => {
                 panic!("Delta channels carry sample deltas, not coefficient windows")
@@ -465,7 +493,7 @@ impl Compressor {
             }
             Variant::IntDctW { ws } => {
                 let thr = int_threshold(self.threshold, ws);
-                int_windows_into(samples, ws, thr, scratch, coeffs)?;
+                int_windows_into(samples, ws, thr, scratch, coeffs, constant)?;
             }
         }
         Ok(())
@@ -609,57 +637,110 @@ fn float_windows_into(
 }
 
 /// Windowed integer transform of one channel, appending one quantized
-/// `ws`-chunk per window to `coeffs`.
+/// `ws`-chunk per window to `coeffs` and one class flag per window to
+/// `constant`.
 ///
 /// Like [`float_windows_into`], the whole channel is staged as flat
 /// Q1.15 windows (through the dispatched
-/// [`compaqt_dsp::fixed::quantize_into`]) and transformed by one
-/// SoA-batched forward call
-/// ([`compaqt_dsp::batched::BatchedIntDctPlan`]), bit-identical to the
-/// per-window [`compaqt_dsp::intdct::IntDct::forward_into`]; constant
-/// windows take the kernel's closed-form shortcut. Thresholding and
-/// store quantization share one pass.
+/// [`compaqt_dsp::fixed::quantize_into`]). Each staged window is then
+/// classified once: a constant window gets its DC word in closed form,
+/// and only the varying windows are transformed, by one SoA-batched
+/// forward call ([`compaqt_dsp::batched::BatchedIntDctPlan`]),
+/// bit-identical to the per-window
+/// [`compaqt_dsp::intdct::IntDct::forward_into`].
 fn int_windows_into(
     samples: &[f64],
     ws: usize,
     thr: i32,
     scratch: &mut EncodeScratch,
-    out: &mut Vec<i32>,
+    coeffs: &mut Vec<i32>,
+    constant: &mut Vec<bool>,
 ) -> Result<(), CompressError> {
-    let padded = samples.len().div_ceil(ws) * ws;
-    // Take the staging buffer so the cached batched plan can stay
+    // Take the staging buffers so the cached batched plan can stay
     // borrowed across the transform (one lookup per channel).
     let mut q_stage = std::mem::take(&mut scratch.q_stage);
-    q_stage.clear();
-    q_stage.resize(padded, Q15::ZERO);
-    compaqt_dsp::fixed::quantize_into(samples, &mut q_stage[..samples.len()]);
-    let start = out.len();
+    let mut varying = std::mem::take(&mut scratch.varying);
     let result = scratch.batched_int_plan(ws).map(|plan| {
-        out.resize(start + padded, 0);
-        plan.forward_batched_into(&q_stage, &mut out[start..]);
+        classify_and_transform(plan, samples, thr, &mut q_stage, &mut varying, coeffs, constant)
     });
     scratch.q_stage = q_stage;
-    result?;
+    scratch.varying = varying;
+    result
+}
+
+/// The body of [`int_windows_into`]. `stage` and `varying` are working
+/// memory: the staged windows, then the varying ones gathered to the
+/// front of `stage` and their transformed coefficients in `varying`.
+fn classify_and_transform(
+    plan: &mut BatchedIntDctPlan,
+    samples: &[f64],
+    thr: i32,
+    stage: &mut Vec<Q15>,
+    varying: &mut Vec<i32>,
+    coeffs: &mut Vec<i32>,
+    constant: &mut Vec<bool>,
+) {
+    let ws = plan.len();
+    let padded = samples.len().div_ceil(ws) * ws;
+    stage.clear();
+    stage.resize(padded, Q15::ZERO);
+    compaqt_dsp::fixed::quantize_into(samples, &mut stage[..samples.len()]);
     // Threshold and quantize to the 15-bit storage word (tag bit + DC
-    // headroom) in one branch-free pass. The threshold predicate is
-    // `apply_threshold_int`'s; a zero coefficient quantizes to zero
-    // either way.
+    // headroom). The threshold predicate is `apply_threshold_int`'s; a
+    // zero coefficient quantizes to zero either way.
     let limit = u32::try_from(thr).unwrap_or(0);
-    for c in &mut out[start..] {
-        let stored = int_store_quantize(*c).clamp(MIN_COEFF, MAX_COEFF);
-        *c = if c.unsigned_abs() < limit { 0 } else { stored };
+    let store = |c: i32| {
+        if c.unsigned_abs() < limit {
+            0
+        } else {
+            int_store_quantize(c).clamp(MIN_COEFF, MAX_COEFF)
+        }
+    };
+    // Row 0 of the transform is the constant 64 and every other row sums
+    // to zero, so a constant window `x` transforms to
+    // `(64 * ws * x + rnd) >> shift` at DC and zero elsewhere.
+    let t = plan.transform();
+    let shift = t.forward_shift();
+    let dc_gain = t.row(0)[0] * i32::try_from(ws).expect("window sizes are at most 64");
+    let rnd = 1i32 << (shift - 1);
+    let (start, first_class) = (coeffs.len(), constant.len());
+    coeffs.resize(start + padded, 0);
+    let mut gathered = 0;
+    for (w, out) in coeffs[start..].chunks_exact_mut(ws).enumerate() {
+        let first = stage[w * ws];
+        let is_constant = stage[w * ws..(w + 1) * ws].iter().all(|&s| s == first);
+        constant.push(is_constant);
+        if is_constant {
+            let dc = (i32::from(first.raw()) * dc_gain + rnd) >> shift;
+            out[0] = store(dc.clamp(i32::from(i16::MIN), i32::from(i16::MAX)));
+        } else {
+            stage.copy_within(w * ws..(w + 1) * ws, gathered);
+            gathered += ws;
+        }
     }
-    Ok(())
+    varying.resize(gathered, 0);
+    plan.forward_batched_into(&stage[..gathered], varying);
+    let varying_out = coeffs[start..]
+        .chunks_exact_mut(ws)
+        .zip(&constant[first_class..])
+        .filter_map(|(out, &c)| (!c).then_some(out));
+    for (out, y) in varying_out.zip(varying.chunks_exact(ws)) {
+        for (o, &c) in out.iter_mut().zip(y) {
+            *o = store(c);
+        }
+    }
 }
 
 /// Applies the paper's I/Q equalization: both channels keep the same
 /// number of stored words per window, then run-length encodes. A window
 /// cap (the uniform-width constraint) zeroes coefficients past the cap.
-/// Inputs are flat quantized coefficients, one `ws`-chunk per window;
-/// output word lists are rebuilt in place (capacities reused).
+/// Inputs are flat quantized coefficients, one `ws`-chunk per window,
+/// with each channel's per-window constant flags (empty when the
+/// variant does not classify); output word lists are rebuilt in place
+/// (capacities reused).
 fn equalize_into(
-    ci: &[i32],
-    cq: &[i32],
+    [ci, cq]: [&[i32]; 2],
+    [const_i, const_q]: [&[bool]; 2],
     ws: usize,
     cap: Option<usize>,
     i_ch: &mut ChannelData,
@@ -675,15 +756,22 @@ fn equalize_into(
             remaining -= run;
         }
     }
+    // A constant window holds at most its DC word: no trailing-zero scan.
+    let kept = |coeffs: &[i32], constant: Option<&bool>| {
+        if constant == Some(&true) {
+            usize::from(coeffs[0] != 0)
+        } else {
+            ws - compaqt_dsp::threshold::trailing_zeros(coeffs)
+        }
+    };
     debug_assert_eq!(ci.len(), cq.len(), "channels must have equal window counts");
     let n_windows = ci.len() / ws;
     let i_out = windows_buf(i_ch, n_windows, spare);
     let q_out = windows_buf(q_ch, n_windows, spare);
     let windows = ci.chunks_exact(ws).zip(cq.chunks_exact(ws));
-    for ((wi, wq), (iw, qw)) in windows.zip(i_out.iter_mut().zip(q_out.iter_mut())) {
-        let keep_i = ws - compaqt_dsp::threshold::trailing_zeros(wi);
-        let keep_q = ws - compaqt_dsp::threshold::trailing_zeros(wq);
-        let mut keep = keep_i.max(keep_q);
+    for (w, ((wi, wq), (iw, qw))) in windows.zip(i_out.iter_mut().zip(q_out.iter_mut())).enumerate()
+    {
+        let mut keep = kept(wi, const_i.get(w)).max(kept(wq, const_q.get(w)));
         if let Some(cap) = cap {
             // Reserve one slot for the codeword unless the window fills.
             let max_keep = if cap >= ws { ws } else { cap - 1 };
@@ -930,6 +1018,50 @@ mod tests {
     #[should_panic(expected = "codeword")]
     fn window_cap_below_two_rejected() {
         Compressor::new(Variant::IntDctW { ws: 16 }).with_max_window_words(1);
+    }
+
+    /// Encodes one channel whose windows hold each of `values` in turn,
+    /// and checks every window against the matrix forward followed by
+    /// threshold and store-quantize.
+    fn assert_constant_windows_match_oracle(values: &[i16]) {
+        for ws in compaqt_dsp::intdct::SUPPORTED_SIZES {
+            let mut samples = vec![0.0; values.len() * ws];
+            for (window, &v) in samples.chunks_exact_mut(ws).zip(values) {
+                window.fill(f64::from(v) / 32768.0);
+            }
+            let mut coeffs = Vec::new();
+            let compressor = Compressor::new(Variant::IntDctW { ws });
+            compressor
+                .encode_channel_into(&samples, &mut EncodeScratch::new(), &mut coeffs)
+                .unwrap();
+            let t = compaqt_dsp::intdct::IntDct::new(ws).unwrap();
+            let thr = int_threshold(DEFAULT_THRESHOLD, ws);
+            let mut oracle = vec![0i32; ws];
+            for (&v, got) in values.iter().zip(coeffs.chunks_exact(ws)) {
+                t.forward_matrix_into(&vec![Q15::from_raw(v); ws], &mut oracle);
+                for c in &mut oracle {
+                    *c = if c.abs() < thr {
+                        0
+                    } else {
+                        int_store_quantize(*c).clamp(MIN_COEFF, MAX_COEFF)
+                    };
+                }
+                assert_eq!(got, &oracle[..], "ws={ws} v={v}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_constant_window_stores_the_oracle_dc_word() {
+        // Exhaustive over the classifier's closed form: every i16 value at
+        // every size. The O(ws^2) matrix oracle dominates, so the value
+        // range is split across threads.
+        let values: Vec<i16> = (i16::MIN..=i16::MAX).collect();
+        std::thread::scope(|s| {
+            for part in values.chunks(values.len() / 4) {
+                s.spawn(move || assert_constant_windows_match_oracle(part));
+            }
+        });
     }
 
     #[test]

@@ -257,9 +257,17 @@ pub struct EncodeScratch {
     /// Spare per-window word lists, parked here when a reused output
     /// slot shrinks so their capacity survives mixed-size libraries.
     pub(crate) spare_windows: Vec<Vec<CodedWord>>,
-    /// Flat Q1.15 staging for the batched integer forward: every window
-    /// of one channel, zero-padded tail included.
+    /// Per-window constant flags of the I channel (int-DCT-W only).
+    pub(crate) i_const: Vec<bool>,
+    /// Per-window constant flags of the Q channel (int-DCT-W only).
+    pub(crate) q_const: Vec<bool>,
+    /// Flat Q1.15 staging for the integer encoder: every window of one
+    /// channel, zero-padded tail included; after classification, the
+    /// varying windows gathered to the front for the batched forward.
     pub(crate) q_stage: Vec<Q15>,
+    /// The batched forward's coefficients for the gathered varying
+    /// windows.
+    pub(crate) varying: Vec<i32>,
     /// Flat float staging for the batched float forward.
     pub(crate) f_stage: Vec<f64>,
     /// Bounded `DCT-N` forward plans, keyed by waveform length.

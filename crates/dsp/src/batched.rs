@@ -48,9 +48,7 @@
 //! * the integer kernel computes exact (overflow-free, see
 //!   [`crate::loeffler::IntButterflyPlan`]) integer accumulators, where
 //!   addition is associative, so reordering across the batch cannot
-//!   change a single bit; the integer forward's closed form for
-//!   constant windows (see [`BatchedIntDctPlan::forward_batched_into`])
-//!   is the same exact sum, factored as `x * sum_i T[k][i]`;
+//!   change a single bit;
 //! * the float forward applies the *same* multiply and add sequence to
 //!   each window (one window per SIMD lane, no FMA contraction), so
 //!   every per-window rounding step is reproduced exactly.
@@ -558,9 +556,11 @@ fn dct_forward_dispatch(tier: KernelTier, dct: &Dct, soa: &[f64], out: &mut [f64
 
 /// A batched integer forward DCT plan, the encode kernel: transforms N
 /// concatenated windows per call through the SoA butterfly kernel,
-/// bit-identically to per-window [`IntDct::forward_into`] calls. The
-/// inverse stays per window ([`IntDct::inverse_into`] and the fused
-/// [`crate::sparse`] decoder).
+/// bit-identically to per-window [`IntDct::forward_into`] calls. Every
+/// window it is given runs the butterfly; the int-DCT-W encoder keeps
+/// constant windows, which are DC-only, away from it. The inverse stays
+/// per window ([`IntDct::inverse_into`] and the fused [`crate::sparse`]
+/// decoder).
 ///
 /// The plan owns its SoA staging buffers, which is why
 /// [`Self::forward_batched_into`] takes `&mut self`; steady-state reuse
@@ -574,7 +574,7 @@ fn dct_forward_dispatch(tier: KernelTier, dct: &Dct, soa: &[f64], out: &mut [f64
 /// use compaqt_dsp::fixed::Q15;
 ///
 /// let mut plan = BatchedIntDctPlan::new(16)?;
-/// let windows = vec![Q15::from_f64(0.25); 16 * 5]; // five DC windows
+/// let windows = vec![Q15::from_f64(0.25); 16 * 5]; // five constant windows
 /// let mut coeffs = vec![0i32; 16 * 5];
 /// plan.forward_batched_into(&windows, &mut coeffs);
 ///
@@ -597,11 +597,6 @@ pub struct BatchedIntDctPlan {
     diff: Vec<i32>,
     /// Forward SoA output rows, `n * chunk` lanes.
     out_soa: Vec<i32>,
-    /// Basis row sums `sum_i T[k][i]`: a constant window `x` transforms
-    /// to `x * row_sums[k]` before rounding.
-    row_sums: Vec<i32>,
-    /// Indices of the non-constant windows of the current forward call.
-    dense: Vec<usize>,
 }
 
 impl BatchedIntDctPlan {
@@ -626,15 +621,12 @@ impl BatchedIntDctPlan {
     /// (clamped to what the platform can run) — the testing hook behind
     /// the forced-scalar vs detected-tier agreement suites.
     pub fn with_tier(dct: IntDct, tier: KernelTier) -> Self {
-        let row_sums = (0..dct.len()).map(|k| dct.row(k).iter().sum()).collect();
         BatchedIntDctPlan {
             dct,
             tier: tier.supported(),
             soa: Vec::new(),
             diff: Vec::new(),
             out_soa: Vec::new(),
-            row_sums,
-            dense: Vec::new(),
         }
     }
 
@@ -664,17 +656,10 @@ impl BatchedIntDctPlan {
     /// 16-bit-saturated coefficients, bit-identically to calling the
     /// per-window kernel on each window.
     ///
-    /// A window whose samples all equal one value `x` skips the
-    /// butterfly: its coefficient `k` is written directly as
-    /// `clamp((x * sum_i T[k][i] + rnd) >> shift)`. The transform is
-    /// linear, so `sum_i T[k][i] * x` is exactly `x` times the basis row
-    /// sum (precomputed when the plan is built), and the product stays
-    /// below `2^28` (`|x| <= 2^15`, `|sum_i T[k][i]| <= 90 * 64`), so it
-    /// fits `i32`. The rounding and saturation are the same as the
-    /// butterfly's, so the result is the value the
-    /// [`IntDct::forward_matrix_into`] oracle computes, on every tier.
-    /// Zero windows and flat tops are most windows of a real pulse
-    /// library; only the remaining windows are gathered into SoA chunks.
+    /// Every window runs the butterfly; the kernel has no per-window
+    /// special case. The int-DCT-W encoder classifies windows while it
+    /// stages them and sends only the varying ones here (constant
+    /// windows are DC-only and written in closed form there).
     ///
     /// # Panics
     ///
@@ -694,30 +679,17 @@ impl BatchedIntDctPlan {
         };
         let shift = self.dct.forward_shift();
         let rnd = 1i32 << (shift - 1);
-        let round = |v: i32| ((v + rnd) >> shift).clamp(i32::from(i16::MIN), i32::from(i16::MAX));
-        // Constant windows in closed form; the rest queue for the kernel.
-        self.dense.clear();
-        for (w, (x, o)) in windows.chunks_exact(n).zip(out.chunks_exact_mut(n)).enumerate() {
-            let first = x[0];
-            if x.iter().all(|&s| s == first) {
-                let first = i32::from(first.raw());
-                for (o, &sum) in o.iter_mut().zip(&self.row_sums) {
-                    *o = round(first * sum);
-                }
-            } else {
-                self.dense.push(w);
-            }
-        }
-        let max_batch = self.dense.len().min(MAX_BATCH_CHUNK);
+        let max_batch = (windows.len() / n).min(MAX_BATCH_CHUNK);
         self.soa.resize(n * max_batch, 0);
         self.diff.resize(n / 2 * max_batch, 0);
         self.out_soa.resize(n * max_batch, 0);
-        for chunk in self.dense.chunks(MAX_BATCH_CHUNK) {
-            let batch = chunk.len();
-            // Transpose in: lane `i` of the `b`-th gathered window lands
-            // at `soa[i * batch + b]` (bounds-check-free via `step_by`).
-            for (b, &w) in chunk.iter().enumerate() {
-                let x = &windows[w * n..(w + 1) * n];
+        for (wchunk, ochunk) in
+            windows.chunks(n * MAX_BATCH_CHUNK).zip(out.chunks_mut(n * MAX_BATCH_CHUNK))
+        {
+            let batch = wchunk.len() / n;
+            // Transpose in: lane `i` of window `b` lands at
+            // `soa[i * batch + b]` (bounds-check-free via `step_by`).
+            for (b, x) in wchunk.chunks_exact(n).enumerate() {
                 for (o, s) in self.soa[b..n * batch].iter_mut().step_by(batch).zip(x) {
                     *o = i32::from(s.raw());
                 }
@@ -733,10 +705,9 @@ impl BatchedIntDctPlan {
             // Round + saturate contiguously (autovectorizable), then
             // transpose each window back to its own position.
             for v in &mut self.out_soa[..n * batch] {
-                *v = round(*v);
+                *v = ((*v + rnd) >> shift).clamp(i32::from(i16::MIN), i32::from(i16::MAX));
             }
-            for (b, &w) in chunk.iter().enumerate() {
-                let dst = &mut out[w * n..(w + 1) * n];
+            for (b, dst) in ochunk.chunks_exact_mut(n).enumerate() {
                 for (o, &v) in dst.iter_mut().zip(self.out_soa[b..].iter().step_by(batch)) {
                     *o = v;
                 }

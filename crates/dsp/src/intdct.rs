@@ -311,10 +311,11 @@ impl IntDct {
         assert_eq!(out.len(), self.n, "output length must match transform size");
         let shift = self.forward_shift();
         let rnd = 1i64 << (shift - 1);
-        for (k, o) in out.iter_mut().enumerate() {
-            let row = &self.matrix[k * self.n..(k + 1) * self.n];
-            let acc: i64 =
-                row.iter().zip(x).map(|(&t, &s)| i64::from(t) * i64::from(s.raw())).sum();
+        for (row, o) in self.matrix.chunks_exact(self.n).zip(out.iter_mut()) {
+            let mut acc = 0i64;
+            for (&t, &s) in row.iter().zip(x) {
+                acc += i64::from(t) * i64::from(s.raw());
+            }
             let v = (acc + rnd) >> shift;
             *o = v.clamp(i64::from(i16::MIN), i64::from(i16::MAX)) as i32;
         }
@@ -609,6 +610,19 @@ mod tests {
                     a.to_f64(),
                     b.to_f64()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn constant_windows_are_dc_only_at_every_size() {
+        // The premise of the codec's constant-window shortcuts: row 0 is
+        // the constant 64, and every other row sums to zero.
+        for n in SUPPORTED_SIZES {
+            let t = IntDct::new(n).unwrap();
+            assert!(t.row(0).iter().all(|&c| c == 64), "n={n} row 0 = {:?}", t.row(0));
+            for k in 1..n {
+                assert_eq!(t.row(k).iter().sum::<i32>(), 0, "n={n} row {k}");
             }
         }
     }

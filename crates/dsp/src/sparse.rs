@@ -7,7 +7,18 @@
 //! words, not the window. Real pulses keep about three stored words per
 //! 16-sample window.
 //!
-//! One walk over the words checks the run lengths and collects the
+//! Most stored windows of a real pulse library come from windows that
+//! were constant in Q1.15 (all zero, or one flat-top value), and the
+//! encoder stores those in one of two shapes: a bare zero run
+//! `[Rle(ws)]`, or a DC word and a zero run `[Coeff(v), Rle(ws - 1)]`.
+//! Those two shapes are matched first and decoded in closed form, the
+//! way HEVC decoders special-case DC-only blocks: row 0 of the
+//! transform is the constant `T[0][i] = 64`, so every output sample is
+//! the same `clamp((((64 * v) << pre_shift) + rnd) >> inverse_shift)`.
+//! A well-formed shape cannot fail, so no error is skipped.
+//!
+//! Every other window, including every malformed one, takes one walk
+//! over the words that checks the run lengths and collects the
 //! nonzero `(row, coefficient)` terms; every [`RleError`] comes from
 //! that walk, before any arithmetic, so hostile windows fail with the
 //! same typed error on every tier. The terms then go to one of two
@@ -21,7 +32,8 @@
 //!   rounded, clamped and converted to `f64` eight lanes at a time.
 //!   4-sample windows, narrower than one register, stay scalar.
 //!
-//! Both kernels are bit-identical with [`IntDct::inverse_f64_into`]:
+//! The closed form and both kernels are bit-identical with
+//! [`IntDct::inverse_f64_into`]:
 //! the worst case `sum_k |T[k][i]| * |coeff| * 2^pre_shift` is
 //! `5760 * 32768 * 4 < 2^30` at WS=64 for `pre_shift <=`
 //! [`MAX_PRE_SHIFT`], so the `i32` accumulators never overflow and
@@ -95,6 +107,22 @@ fn inverse_rle_f64_on(
     let window = dst.len();
     assert_eq!(window, t.len(), "output must be one window");
     assert!(pre_shift <= MAX_PRE_SHIFT, "pre_shift {pre_shift} overflows the i32 accumulators");
+    // The two shapes a constant window is stored as: zero, or DC only.
+    match *words {
+        [CodedWord::Rle(RleCodeword { run, repeat_previous: false })]
+            if usize::from(run) == window =>
+        {
+            dst.fill(0.0);
+            return Ok(());
+        }
+        [CodedWord::Coeff(v), CodedWord::Rle(RleCodeword { run, repeat_previous: false })]
+            if usize::from(run) + 1 == window =>
+        {
+            dst.fill(dc_sample(t, v, pre_shift));
+            return Ok(());
+        }
+        _ => {}
+    }
     let mut terms = [(0u16, 0i16); 64];
     let Some(n) = collect_terms(words, window, &mut terms)? else {
         // Rare general case: materialize the coefficient window.
@@ -165,6 +193,17 @@ fn collect_terms(
         return Err(RleError::Underflow { produced: pos, window });
     }
     Ok(Some(n))
+}
+
+/// The one sample value of a DC-only window: the scalar kernel's
+/// round-saturate-convert step applied to `T[0][0] * v`, which is every
+/// lane's accumulator because row 0 is constant.
+fn dc_sample(t: &IntDct, v: i16, pre_shift: u32) -> f64 {
+    let shift = t.inverse_shift();
+    let acc = t.row(0)[0] * i32::from(v);
+    let raw = (((acc << pre_shift) + (1 << (shift - 1))) >> shift)
+        .clamp(i32::from(i16::MIN), i32::from(i16::MAX));
+    f64::from(raw) / 32768.0
 }
 
 /// The reference kernel: `i32` row multiply-accumulate, then round,
@@ -332,6 +371,37 @@ mod tests {
                 let expect = reference(&t, &words);
                 for tier in tiers() {
                     assert_eq!(fused(tier, &t, &words), expect, "ws={ws} {tier:?} {words:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dc_only_and_zero_windows_match_the_reference_for_every_word() {
+        // Exhaustive over the closed-form shapes: every i16 DC word, every
+        // size and every dequantization shift, on every runnable tier.
+        for ws in SUPPORTED_SIZES {
+            let t = IntDct::new(ws).unwrap();
+            let run = u16::try_from(ws - 1).unwrap();
+            let mut coeffs = vec![0i32; ws];
+            let (mut expect, mut got) = (vec![0.0; ws], vec![f64::NAN; ws]);
+            for tier in tiers() {
+                inverse_rle_f64_on(tier, &t, &[zeros(run + 1)], 0, &mut Vec::new(), &mut got)
+                    .unwrap();
+                assert!(got.iter().all(|v| v.to_bits() == 0), "ws={ws} {tier:?} zero window");
+            }
+            for pre_shift in 0..=MAX_PRE_SHIFT {
+                for v in i16::MIN..=i16::MAX {
+                    coeffs[0] = i32::from(v);
+                    t.inverse_f64_into(&coeffs, pre_shift, &mut expect);
+                    let words = [CodedWord::Coeff(v), zeros(run)];
+                    for tier in tiers() {
+                        got.fill(f64::NAN);
+                        inverse_rle_f64_on(tier, &t, &words, pre_shift, &mut Vec::new(), &mut got)
+                            .unwrap();
+                        // Neither side makes NaN or -0.0, so `==` is bitwise.
+                        assert!(got == expect, "ws={ws} {tier:?} pre_shift={pre_shift} v={v}");
+                    }
                 }
             }
         }

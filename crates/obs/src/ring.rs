@@ -126,8 +126,9 @@ pub struct TraceRing {
     slots: Box<[Slot]>,
     /// Next global claim index; slot = claim & mask.
     head: AtomicU64,
-    /// Events abandoned because their slot's previous writer was still
-    /// mid-publish when the ring lapped it (never blocks the writer).
+    /// Events abandoned because another writer held their slot: one
+    /// still mid-publish when the ring lapped it, or a later lap that
+    /// got there first (never blocks the writer).
     dropped: AtomicU64,
     mask: u64,
 }
@@ -174,7 +175,8 @@ impl TraceRing {
         self.head.load(Ordering::Relaxed)
     }
 
-    /// Events abandoned because a lapped slot's writer was mid-publish.
+    /// Events abandoned because another writer held their slot (see
+    /// [`TraceRing::push_event`]).
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
@@ -190,20 +192,24 @@ impl TraceRing {
     /// timestamp). Same cost model as [`TraceRing::push`].
     pub fn push_event(&self, event: TraceEvent) {
         let claim = self.head.fetch_add(1, Ordering::Relaxed);
-        let cap = self.slots.len() as u64;
         let slot = &self.slots[(claim & self.mask) as usize];
-        // The stamp this slot must carry before we may take it: its
-        // previous lap's published stamp (or 0 on the first lap). A
-        // failed CAS means that writer is still mid-publish — drop our
-        // event rather than block or tear theirs.
-        let expected = if claim >= cap { 2 * (claim - cap) + 2 } else { 0 };
-        if slot
-            .seq
-            .compare_exchange(expected, 2 * claim + 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
+        // Take the slot from any published (even) stamp older than ours,
+        // not only the previous lap's: a lap whose writer dropped never
+        // published, and waiting for its stamp would lock the slot out
+        // for good. An odd stamp means a writer is still mid-publish, a
+        // newer one means a later lap got here first; either way, drop
+        // this event rather than block or tear theirs.
+        let mine = 2 * claim + 1;
+        let mut seen = slot.seq.load(Ordering::Relaxed);
+        loop {
+            if seen % 2 == 1 || seen > mine {
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            match slot.seq.compare_exchange_weak(seen, mine, Ordering::Acquire, Ordering::Relaxed) {
+                Ok(_) => break,
+                Err(now) => seen = now,
+            }
         }
         slot.kind.store(u64::from(event.kind.tag()), Ordering::Relaxed);
         slot.a.store(event.a, Ordering::Relaxed);
@@ -296,6 +302,27 @@ mod tests {
         ring.push(TraceKind::ConnClose, 1, 0);
         let events = ring.snapshot();
         assert!(events.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
+    }
+
+    #[test]
+    fn a_writer_caught_mid_publish_costs_exactly_one_event() {
+        // Claim 0 stalls mid-publish on a 2-slot ring. The next lap's
+        // writer of slot 0 must drop its event, but once claim 0
+        // publishes, every later lap takes the slot again.
+        let ring = TraceRing::new(2);
+        let stalled = ring.head.fetch_add(1, Ordering::Relaxed);
+        ring.slots[0].seq.store(2 * stalled + 1, Ordering::Relaxed);
+        ring.push(TraceKind::SlowRequest, 1, 0);
+        ring.push(TraceKind::SlowRequest, 2, 0);
+        assert_eq!(ring.dropped(), 1, "claim 2 finds claim 0 mid-publish");
+        ring.slots[0].seq.store(2 * stalled + 2, Ordering::Release);
+        for k in 3..40 {
+            ring.push(TraceKind::SlowRequest, k, 0);
+        }
+        assert_eq!(ring.recorded(), 40);
+        assert_eq!(ring.dropped(), 1, "one stalled writer costs one event");
+        let got: Vec<u64> = ring.snapshot().iter().map(|e| e.a).collect();
+        assert_eq!(got, vec![38, 39], "both slots hold the newest laps");
     }
 
     #[test]

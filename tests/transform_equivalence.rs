@@ -19,17 +19,23 @@
 //! across windows: transforming N concatenated windows in one call must
 //! be bit-identical to N per-window calls, on every SIMD tier the
 //! machine can run, for every batch size including ragged tails past the
-//! internal chunk width. The batched forward writes constant windows in
-//! closed form and gathers only the others into SoA chunks, so mixed
-//! batches of both kinds are held to the matrix oracle too. The inverse
-//! is not batched: decode runs one window at a time through the fused
-//! kernel, whose own tier suite lives in `compaqt_dsp::sparse`.
+//! internal chunk width. Constant windows run through the butterfly here
+//! like any other. The int-DCT-W encoder classifies windows as it stages
+//! them, writes the constant ones' DC word in closed form and batches
+//! only the varying ones, so its channel encode
+//! (`Compressor::encode_channel_into`) is held to the per-window matrix
+//! oracle, threshold and store-quantize on mixed channels of both kinds.
+//! The inverse is not batched: decode runs one window at a time through
+//! the fused kernel, whose own tier suite (closed-form DC windows
+//! included) lives in `compaqt_dsp::sparse`.
 
+use compaqt::core::compress::{Compressor, Variant, DEFAULT_THRESHOLD};
+use compaqt::core::engine::EncodeScratch;
 use compaqt::dsp::batched::{BatchedDct, BatchedIntDctPlan, KernelTier, MAX_BATCH_CHUNK};
 use compaqt::dsp::dct::Dct;
 use compaqt::dsp::fixed::Q15;
 use compaqt::dsp::intdct::{IntDct, SUPPORTED_SIZES};
-use compaqt::dsp::rle::{CodedWord, RleEncoder};
+use compaqt::dsp::rle::{CodedWord, RleEncoder, MAX_COEFF, MIN_COEFF};
 use compaqt::dsp::sparse::inverse_rle_f64_into;
 use proptest::prelude::*;
 
@@ -322,30 +328,41 @@ proptest! {
         constant in 0usize..=MAX_BATCH_CHUNK + 5,
         random_dense in 1usize..=3 * MAX_BATCH_CHUNK,
     ) {
-        // The batched forward writes constant windows in closed form and
-        // gathers only the others into SoA chunks, so it must agree with
-        // the dense matrix oracle wherever the two kinds sit and however
-        // the dense windows split into chunks.
+        // The encoder writes constant windows' DC word in closed form and
+        // batches only the varying ones, so its channel output must agree
+        // with the per-window oracle pipeline wherever the two kinds sit
+        // and however the varying windows split into chunks. A threshold
+        // of 0 keeps every nonzero coefficient; the default zeroes some.
         let (constant, dense) = match shape {
             0 => (constant, 0),
             1..=3 => (constant, CHUNK_EDGE_DENSE_COUNTS[shape - 1]),
             4 => (0, random_dense),
             _ => (constant, random_dense),
         };
+        let mut scratch = EncodeScratch::new();
+        let mut coeffs = Vec::new();
         for ws in EQUIV_SIZES {
             let windows = mixed_windows(ws, constant, dense, seed);
+            let samples: Vec<f64> = windows.iter().map(|s| f64::from(s.raw()) / 32768.0).collect();
             let t = IntDct::new(ws).unwrap();
-            let mut oracle = vec![0i32; windows.len()];
-            for (x, o) in windows.chunks_exact(ws).zip(oracle.chunks_exact_mut(ws)) {
-                t.forward_matrix_into(x, o);
-            }
-            let mut batched = vec![0i32; windows.len()];
-            for tier in runnable_tiers() {
-                let mut bp = BatchedIntDctPlan::with_tier(t.clone(), tier);
-                bp.forward_batched_into(&windows, &mut batched);
+            for threshold in [0.0, DEFAULT_THRESHOLD] {
+                // The codec's integer threshold and 2-bit store shift.
+                let scale = 2f64.powf(15.0 - (ws as f64).log2() / 2.0);
+                let thr = (threshold * scale).round().max(1.0) as i32;
+                let mut oracle = vec![0i32; windows.len()];
+                for (x, o) in windows.chunks_exact(ws).zip(oracle.chunks_exact_mut(ws)) {
+                    t.forward_matrix_into(x, o);
+                    for c in o {
+                        *c = if c.abs() < thr { 0 } else { ((*c + 2) >> 2).clamp(MIN_COEFF, MAX_COEFF) };
+                    }
+                }
+                Compressor::new(Variant::IntDctW { ws })
+                    .with_threshold(threshold)
+                    .encode_channel_into(&samples, &mut scratch, &mut coeffs)
+                    .unwrap();
                 prop_assert_eq!(
-                    &batched, &oracle,
-                    "ws={} constant={} dense={} tier={:?}", ws, constant, dense, tier
+                    &coeffs, &oracle,
+                    "ws={} constant={} dense={} threshold={}", ws, constant, dense, threshold
                 );
             }
         }
