@@ -26,7 +26,7 @@
 //! [`AdaptiveCompressed::decompress_with`] is the decode twin.
 
 use crate::compress::{CompressedWaveform, Compressor, Variant};
-use crate::engine::{DecompressionEngine, EngineStats};
+use crate::engine::{DecodeScratch, DecompressionEngine, EngineStats};
 use crate::CompressError;
 use compaqt_dsp::fixed::Q15;
 use compaqt_dsp::metrics::CompressionRatio;
@@ -111,50 +111,22 @@ impl AdaptiveCompressed {
     }
 
     /// Decompresses, returning the waveform and engine stats (plateau
-    /// samples are accounted as bypassed).
+    /// samples are accounted as bypassed):
+    /// [`AdaptiveCompressed::decompress_with`] through the shared engine,
+    /// a fresh scratch and fresh buffers.
     ///
     /// # Errors
     ///
     /// Returns an error for malformed streams.
     pub fn decompress(&self) -> Result<(Waveform, EngineStats), CompressError> {
-        let engine = DecompressionEngine::for_variant(self.variant)?;
-        let mut stats = EngineStats::default();
-        // Grown by decoded data only — never pre-sized from the
-        // (untrusted) n_samples claim.
-        let mut i: Vec<f64> = Vec::new();
-        let mut q: Vec<f64> = Vec::new();
-        for seg in &self.segments {
-            match seg {
-                Segment::Windows(z) => {
-                    let mut s = EngineStats::default();
-                    i.extend(engine.decode_channel(&z.i, z.n_samples, &mut s)?);
-                    q.extend(engine.decode_channel(&z.q, z.n_samples, &mut s)?);
-                    stats.merge(&s);
-                }
-                Segment::Constant { i_value, q_value, len } => {
-                    check_plateau_claim(*len, self.n_samples.saturating_sub(i.len()))?;
-                    // One literal word + codeword per channel; the run is
-                    // produced without memory traffic or IDCT work.
-                    let cws = plateau_codewords(*len);
-                    stats.memory_words_read += 2 * (1 + cws);
-                    stats.rle_codewords += 2 * cws;
-                    stats.bypassed_samples += 2 * len;
-                    stats.output_samples += 2 * len;
-                    stats.cycles += *len as u64;
-                    i.extend(std::iter::repeat_n(i_value.to_f64(), *len));
-                    q.extend(std::iter::repeat_n(q_value.to_f64(), *len));
-                }
-            }
-        }
-        i.truncate(self.n_samples);
-        q.truncate(self.n_samples);
-        let wf = crate::engine::checked_waveform(&self.name, i, q, self.sample_rate_gs)?;
-        Ok((wf, stats))
+        let engine = DecompressionEngine::shared(self.variant)?;
+        let (mut i, mut q) = (Vec::new(), Vec::new());
+        let stats = self.decompress_with(engine, &mut DecodeScratch::new(), &mut i, &mut q)?;
+        Ok((Waveform::new(self.name.clone(), i, q, self.sample_rate_gs), stats))
     }
 
     /// Decompresses into caller-provided buffers through a shared engine
-    /// and scratch — the zero-allocation twin of
-    /// [`AdaptiveCompressed::decompress`], bit-exact with it. Windowed
+    /// and scratch, allocation-free once they are warm. Windowed
     /// segments chain through
     /// [`DecompressionEngine::decode_channel_into`]'s append semantics;
     /// plateau runs are expanded straight into the output buffers with
@@ -167,7 +139,7 @@ impl AdaptiveCompressed {
     pub fn decompress_with(
         &self,
         engine: &DecompressionEngine,
-        scratch: &mut crate::engine::DecodeScratch,
+        scratch: &mut DecodeScratch,
         i_out: &mut Vec<f64>,
         q_out: &mut Vec<f64>,
     ) -> Result<EngineStats, CompressError> {
@@ -474,20 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn decompress_with_matches_allocating_path_bit_exactly() {
-        let wf = flat_top();
-        let z = AdaptiveCompressor::new(Variant::IntDctW { ws: 16 }).compress(&wf).unwrap();
-        let (alloc, alloc_stats) = z.decompress().unwrap();
-        let engine = DecompressionEngine::for_variant(z.variant).unwrap();
-        let mut scratch = crate::engine::DecodeScratch::new();
-        let (mut i, mut q) = (Vec::new(), Vec::new());
-        let stats = z.decompress_with(&engine, &mut scratch, &mut i, &mut q).unwrap();
-        assert_eq!(alloc.i(), &i[..]);
-        assert_eq!(alloc.q(), &q[..]);
-        assert_eq!(alloc_stats, stats);
-    }
-
-    #[test]
     fn compress_into_reused_slot_matches_allocating_path() {
         let wf = flat_top();
         let zc = AdaptiveCompressor::new(Variant::IntDctW { ws: 16 });
@@ -524,7 +482,7 @@ mod tests {
         let wf = flat_top();
         let z = AdaptiveCompressor::new(Variant::IntDctW { ws: 8 }).compress(&wf).unwrap();
         let wrong = DecompressionEngine::for_variant(Variant::DctW { ws: 8 }).unwrap();
-        let mut scratch = crate::engine::DecodeScratch::new();
+        let mut scratch = DecodeScratch::new();
         let (mut i, mut q) = (Vec::new(), Vec::new());
         let err = z.decompress_with(&wrong, &mut scratch, &mut i, &mut q).unwrap_err();
         assert!(matches!(err, CompressError::EngineMismatch { .. }), "got {err}");

@@ -271,8 +271,7 @@ impl CompressedWaveform {
     /// Returns an error if a run-length stream is malformed (cannot happen
     /// for streams produced by [`Compressor::compress`]).
     pub fn decompress(&self) -> Result<Waveform, CompressError> {
-        let (wf, _) =
-            crate::engine::DecompressionEngine::for_variant(self.variant)?.decompress(self)?;
+        let (wf, _) = crate::engine::DecompressionEngine::shared(self.variant)?.decompress(self)?;
         Ok(wf)
     }
 }

@@ -12,10 +12,10 @@
 //! # The production decoder and its reference
 //!
 //! A hardware engine has no allocator: its RLE buffer and sample buffer
-//! are fixed SRAMs. The software model has one production decoder and
-//! one reference it is proven against:
+//! are fixed SRAMs. The software model has exactly one decoder per
+//! stream kind:
 //!
-//! * **Production** — [`DecompressionEngine::decompress_into`] /
+//! * [`DecompressionEngine::decompress_into`] /
 //!   [`DecompressionEngine::decode_channel_into`] thread every stage
 //!   through a caller-owned [`DecodeScratch`] plus caller output `Vec`s.
 //!   After the first decode warms the buffers, steady-state decoding of a
@@ -23,21 +23,21 @@
 //!   (the `alloc_regression` integration test enforces this). Every
 //!   integer window, sparse or dense, takes the fused RLE + sparse
 //!   inverse ([`compaqt_dsp::sparse::inverse_rle_f64_into`]), whose
-//!   cost scales with the stored words. Every serving, container and
-//!   batch path decodes through it.
-//! * **Reference** — [`DecompressionEngine::decompress`] /
-//!   [`DecompressionEngine::decode_channel`] return fresh `Vec`s and run
-//!   each window through the per-window matrix inverse
-//!   ([`compaqt_dsp::intdct::IntDct::inverse_f64`]), the float
-//!   [`Dct`] or the full-length [`compaqt_dsp::plan::DctPlan`]. It is the
-//!   oracle the round-trip property tests compare the production path
-//!   against with `==` on every sample, and the denominator of the
-//!   `codec_throughput` bench's `decode_speedup_ws16 >= 3` gate.
+//!   cost scales with the stored words.
+//! * [`DecompressionEngine::decompress`] is a convenience wrapper: a
+//!   fresh scratch and fresh buffers through the same path.
 //!
-//! Both produce the same samples and the same [`EngineStats`] cycle
-//! accounting. The engine itself stays `&self` and `Sync`: all mutable
-//! state lives in the scratch, so one engine can be shared across
-//! decoder threads with one scratch per thread.
+//! The reference these are proven against lives in test code
+//! (`tests/common`): it expands each window with
+//! [`RleDecoder::decode_window`] and runs the per-window matrix inverse
+//! ([`IntDct::inverse_f64_into`], the float [`Dct`] or the full-length
+//! [`compaqt_dsp::plan::DctPlan`]), tallying its own [`EngineStats`].
+//! The round-trip and hostile-stream suites compare the two with `==` on
+//! every sample, on the stats, and on every accept/reject verdict.
+//!
+//! The engine itself stays `&self` and `Sync`: all mutable state lives
+//! in the scratch, so one engine can be shared across decoder threads
+//! with one scratch per thread.
 //!
 //! The compile direction mirrors the same architecture: [`EncodeScratch`]
 //! (defined here, consumed by [`crate::compress::Compressor::compress_into`]
@@ -439,9 +439,8 @@ impl DecompressionEngine {
     }
 
     /// Decompresses a waveform, returning the reconstruction and the
-    /// operation counts — the per-window reference decoder that
-    /// [`DecompressionEngine::decompress_into`] is proven against (see
-    /// the module docs).
+    /// operation counts: [`DecompressionEngine::decompress_into`] through
+    /// a fresh scratch and fresh buffers.
     ///
     /// # Errors
     ///
@@ -451,69 +450,15 @@ impl DecompressionEngine {
         &self,
         z: &CompressedWaveform,
     ) -> Result<(Waveform, EngineStats), CompressError> {
-        let mut stats = EngineStats::default();
-        let i = self.decode_channel(&z.i, z.n_samples, &mut stats)?;
-        let q = self.decode_channel(&z.q, z.n_samples, &mut stats)?;
-        let wf = checked_waveform(&z.name, i, q, z.sample_rate_gs)?;
-        Ok((wf, stats))
-    }
-
-    /// Decodes one channel into DAC samples, accumulating stats — the
-    /// reference twin of [`DecompressionEngine::decode_channel_into`].
-    pub fn decode_channel(
-        &self,
-        channel: &ChannelData,
-        n_samples: usize,
-        stats: &mut EngineStats,
-    ) -> Result<Vec<f64>, CompressError> {
-        match channel {
-            ChannelData::Raw(samples) => {
-                stats.memory_words_read += samples.len();
-                stats.output_samples += samples.len();
-                stats.cycles += samples.len() as u64;
-                Ok(samples.iter().map(|&s| f64::from(s) / 32768.0).collect())
-            }
-            ChannelData::Delta { base, bits, deltas } => {
-                let words = channel.size_bits().div_ceil(16);
-                let _ = bits;
-                stats.memory_words_read += words;
-                stats.output_samples += deltas.len() + 1;
-                stats.cycles += (deltas.len() + 1) as u64;
-                // Wrapping i16 accumulation: bit-identical to the exact
-                // sum for every stream the encoder emits, and well
-                // defined (no debug-overflow panic) for hostile delta
-                // chains that walk past the i32 range.
-                let mut acc = *base;
-                let mut out = Vec::with_capacity(deltas.len() + 1);
-                out.push(f64::from(acc) / 32768.0);
-                for &d in deltas {
-                    acc = acc.wrapping_add(d);
-                    out.push(f64::from(acc) / 32768.0);
-                }
-                Ok(out)
-            }
-            ChannelData::Windows(windows) => {
-                let decoder = RleDecoder::new();
-                let window = self.effective_window(windows.len(), n_samples)?;
-                check_window_claims(windows, window)?;
-                let mut out: Vec<f64> =
-                    Vec::with_capacity(windows.len().saturating_mul(window).min(n_samples));
-                for words in windows {
-                    stats.tally_window(words);
-                    let coeffs = decoder.decode_window(words, window)?;
-                    out.extend_from_slice(&self.inverse(&coeffs, window));
-                }
-                stats.output_samples += n_samples.min(out.len());
-                out.truncate(n_samples);
-                Ok(out)
-            }
-        }
+        let (mut i, mut q) = (Vec::new(), Vec::new());
+        let stats = self.decompress_into(z, &mut DecodeScratch::new(), &mut i, &mut q)?;
+        Ok((Waveform::new(z.name.clone(), i, q, z.sample_rate_gs), stats))
     }
 
     /// Decompresses into caller-provided buffers, returning the operation
     /// counts. `i_out`/`q_out` are cleared and refilled; with a reused
     /// scratch and output buffers, steady-state decoding allocates
-    /// nothing. Bit-exact with [`DecompressionEngine::decompress`].
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -536,8 +481,7 @@ impl DecompressionEngine {
     }
 
     /// Decodes one channel, *appending* `n_samples` DAC samples to `out`
-    /// and accumulating stats — the zero-allocation twin of
-    /// [`DecompressionEngine::decode_channel`].
+    /// and accumulating stats.
     ///
     /// Appending (rather than overwriting) lets segment decoders like the
     /// adaptive IDCT-bypass path chain calls into one output buffer. All
@@ -571,7 +515,10 @@ impl DecompressionEngine {
                 stats.memory_words_read += words;
                 stats.output_samples += deltas.len() + 1;
                 stats.cycles += (deltas.len() + 1) as u64;
-                // Wrapping i16 accumulation; see `decode_channel`.
+                // Wrapping i16 accumulation: bit-identical to the exact
+                // sum for every stream the encoder emits, and well
+                // defined (no debug-overflow panic) for hostile delta
+                // chains that walk past the i32 range.
                 let mut acc = *base;
                 out.reserve(deltas.len() + 1);
                 out.push(f64::from(acc) / 32768.0);
@@ -650,27 +597,6 @@ impl DecompressionEngine {
             Ok(n_samples)
         } else {
             Err(CompressError::MalformedStream { reason: "DCT-N streams store exactly one window" })
-        }
-    }
-
-    fn inverse(&self, coeffs: &[i32], window: usize) -> Vec<f64> {
-        match &self.stage {
-            InverseStage::Integer(t) => {
-                // Undo the storage headroom shift (the lost LSBs are part
-                // of the measured quantization error).
-                let native: Vec<i32> = coeffs.iter().map(|&c| c << INT_STORE_SHIFT).collect();
-                t.inverse_f64(&native)
-            }
-            InverseStage::Float { dct, scale } => {
-                let f: Vec<f64> = coeffs.iter().map(|&c| f64::from(c) / scale).collect();
-                dct.inverse(&f)
-            }
-            InverseStage::None => {
-                // DCT-N: O(N log N) inverse at the waveform's full length.
-                let scale = f64::from(1u32 << crate::compress::float_coeff_scale_bits(window));
-                let f: Vec<f64> = coeffs.iter().map(|&c| f64::from(c) / scale).collect();
-                compaqt_dsp::plan::DctPlan::new(window).inverse(&f)
-            }
         }
     }
 }
@@ -845,39 +771,6 @@ mod tests {
             assert_eq!(ri, i, "{variant:?} I channel");
             assert_eq!(rq, q, "{variant:?} Q channel");
             assert_eq!(expect, stats, "{variant:?} stats");
-        }
-    }
-
-    #[test]
-    fn malformed_stream_is_an_error_not_a_panic() {
-        use compaqt_dsp::rle::{CodedWord, RleCodeword};
-        // A window claiming a 100-sample zero run inside a 16-sample
-        // window must be rejected (bit-flip / corruption robustness).
-        let bogus = crate::compress::ChannelData::Windows(vec![vec![
-            CodedWord::Coeff(5),
-            CodedWord::Rle(RleCodeword { run: 100, repeat_previous: false }),
-        ]]);
-        let engine = DecompressionEngine::for_variant(Variant::IntDctW { ws: 16 }).unwrap();
-        let mut stats = EngineStats::default();
-        let err = engine.decode_channel(&bogus, 16, &mut stats).unwrap_err();
-        assert!(matches!(err, crate::CompressError::Rle(_)));
-    }
-
-    #[test]
-    fn into_path_is_bit_exact_with_allocating_path() {
-        let wf = x_pulse();
-        for variant in
-            [Variant::Delta, Variant::DctN, Variant::DctW { ws: 8 }, Variant::IntDctW { ws: 16 }]
-        {
-            let z = Compressor::new(variant).compress(&wf).unwrap();
-            let engine = DecompressionEngine::for_variant(variant).unwrap();
-            let (alloc, alloc_stats) = engine.decompress(&z).unwrap();
-            let mut scratch = DecodeScratch::new();
-            let (mut i, mut q) = (Vec::new(), Vec::new());
-            let stats = engine.decompress_into(&z, &mut scratch, &mut i, &mut q).unwrap();
-            assert_eq!(alloc.i(), &i[..], "{variant:?} I channel");
-            assert_eq!(alloc.q(), &q[..], "{variant:?} Q channel");
-            assert_eq!(alloc_stats, stats, "{variant:?} stats");
         }
     }
 

@@ -103,6 +103,9 @@ pub enum CompressError {
     /// A whole-library compile was handed a library with no waveforms
     /// (a report needs at least one to state an overall ratio).
     EmptyLibrary,
+    /// A controller was asked to play a gate whose waveform it never
+    /// loaded.
+    NotResident(compaqt_pulse::library::GateId),
 }
 
 impl fmt::Display for CompressError {
@@ -130,6 +133,9 @@ impl fmt::Display for CompressError {
                 write!(f, "waveform has no flat-top plateau for adaptive compression")
             }
             CompressError::EmptyLibrary => write!(f, "cannot compile an empty pulse library"),
+            CompressError::NotResident(gate) => {
+                write!(f, "gate {gate} is not resident in the controller")
+            }
         }
     }
 }

@@ -163,18 +163,12 @@ mod tests {
         let z = compressed();
         let mut mem = BankedMemory::new();
         let (hi, hq) = mem.store(&z);
-        let li = mem.load_channel(hi);
-        let lq = mem.load_channel(hq);
+        let banked =
+            CompressedWaveform { i: mem.load_channel(hi), q: mem.load_channel(hq), ..z.clone() };
         // Loading drops uniform-width padding; decoding must still agree.
-        let engine = crate::engine::DecompressionEngine::for_variant(z.variant).unwrap();
-        let mut s1 = crate::engine::EngineStats::default();
-        let mut s2 = crate::engine::EngineStats::default();
-        let direct = engine.decode_channel(&z.i, z.n_samples, &mut s1).unwrap();
-        let banked = engine.decode_channel(&li, z.n_samples, &mut s2).unwrap();
-        assert_eq!(direct, banked);
-        let direct_q = engine.decode_channel(&z.q, z.n_samples, &mut s1).unwrap();
-        let banked_q = engine.decode_channel(&lq, z.n_samples, &mut s2).unwrap();
-        assert_eq!(direct_q, banked_q);
+        let (direct, banked) = (z.decompress().unwrap(), banked.decompress().unwrap());
+        assert_eq!(direct.i(), banked.i());
+        assert_eq!(direct.q(), banked.q());
     }
 
     #[test]

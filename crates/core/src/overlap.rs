@@ -25,10 +25,10 @@
 //!
 //! Both codec directions follow the workspace's allocating-vs-`_into`
 //! convention: [`OverlapCompressor::compress`] /
-//! [`OverlapCompressor::decode_channel`] allocate per call, while
+//! [`OverlapCompressed::decompress`] allocate per call and wrap
 //! [`OverlapCompressor::compress_into`] /
-//! [`OverlapCompressor::decode_channel_into`] thread caller-owned
-//! scratches and reuse output buffers, bit-exactly.
+//! [`OverlapCompressor::decode_channel_into`], which thread
+//! caller-owned scratches and reuse output buffers.
 
 use crate::compress::ChannelData;
 use crate::CompressError;
@@ -86,8 +86,10 @@ impl OverlapCompressed {
     /// (mismatched channel expansions, bogus sample rate).
     pub fn decompress(&self) -> Result<Waveform, CompressError> {
         let compressor = OverlapCompressor::new(self.ws)?;
-        let i = compressor.decode_channel(&self.i, self.n_samples)?;
-        let q = compressor.decode_channel(&self.q, self.n_samples)?;
+        let mut scratch = crate::engine::DecodeScratch::new();
+        let (mut i, mut q) = (Vec::new(), Vec::new());
+        compressor.decode_channel_into(&self.i, self.n_samples, &mut scratch, &mut i)?;
+        compressor.decode_channel_into(&self.q, self.n_samples, &mut scratch, &mut q)?;
         crate::engine::checked_waveform(&self.name, i, q, self.sample_rate_gs)
     }
 }
@@ -220,28 +222,9 @@ impl OverlapCompressor {
         }
     }
 
-    /// Decodes one channel via IDCT + windowed overlap-add.
-    ///
-    /// Allocating wrapper over [`OverlapCompressor::decode_channel_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for malformed run-length streams.
-    pub fn decode_channel(
-        &self,
-        channel: &ChannelData,
-        n_samples: usize,
-    ) -> Result<Vec<f64>, CompressError> {
-        let mut scratch = crate::engine::DecodeScratch::new();
-        let mut out = Vec::new();
-        self.decode_channel_into(channel, n_samples, &mut scratch, &mut out)?;
-        Ok(out)
-    }
-
     /// Zero-allocation overlap-add decode into caller buffers: `out` is
     /// cleared, zero-filled to `n_samples` and accumulated in place, with
-    /// per-frame staging running through `scratch`. Bit-exact with
-    /// [`OverlapCompressor::decode_channel`] (which now wraps this).
+    /// per-frame staging running through `scratch`.
     ///
     /// # Errors
     ///
@@ -361,19 +344,19 @@ mod tests {
     }
 
     #[test]
-    fn into_path_is_bit_exact_with_allocating_path() {
+    fn scratch_and_buffer_survive_reuse_across_channels() {
         let wf = pulse();
         let c = OverlapCompressor::new(8).unwrap();
         let z = c.compress(&wf).unwrap();
-        let alloc = c.decode_channel(&z.i, z.n_samples).unwrap();
+        let fresh = z.decompress().unwrap();
         let mut scratch = crate::engine::DecodeScratch::new();
         let mut out = Vec::new();
-        c.decode_channel_into(&z.i, z.n_samples, &mut scratch, &mut out).unwrap();
-        assert_eq!(alloc, out);
-        // Scratch and buffer survive reuse on the other channel.
-        let alloc_q = c.decode_channel(&z.q, z.n_samples).unwrap();
-        c.decode_channel_into(&z.q, z.n_samples, &mut scratch, &mut out).unwrap();
-        assert_eq!(alloc_q, out);
+        for _ in 0..2 {
+            c.decode_channel_into(&z.i, z.n_samples, &mut scratch, &mut out).unwrap();
+            assert_eq!(fresh.i(), &out[..]);
+            c.decode_channel_into(&z.q, z.n_samples, &mut scratch, &mut out).unwrap();
+            assert_eq!(fresh.q(), &out[..]);
+        }
     }
 
     #[test]

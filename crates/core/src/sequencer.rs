@@ -10,7 +10,7 @@
 //! memory system keeps up (Figure 2c's "5x more concurrent gates").
 
 use crate::compress::{CompressedWaveform, Compressor};
-use crate::engine::{DecompressionEngine, EngineStats};
+use crate::engine::{DecodeScratch, DecompressionEngine};
 use crate::memory::{banks_per_channel, BankedMemory, ChannelHandle};
 use crate::CompressError;
 use compaqt_pulse::library::{GateId, PulseLibrary};
@@ -44,15 +44,16 @@ pub struct Instruction {
     pub start_ns: f64,
 }
 
-/// A waveform's residency in the controller: its two channel handles and
-/// stream metadata.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A waveform's residency in the controller: its two channel handles,
+/// stream metadata and the compressed stream the engine decodes.
+#[derive(Debug, Clone, PartialEq)]
 struct Residency {
     i: ChannelHandle,
     q: ChannelHandle,
     n_samples: usize,
     duration_ns: f64,
     banks_needed: usize,
+    stream: CompressedWaveform,
 }
 
 /// Outcome of playing a schedule on the controller.
@@ -113,8 +114,7 @@ pub struct Controller {
     config: ControllerConfig,
     memory: BankedMemory,
     table: HashMap<GateId, Residency>,
-    engine: DecompressionEngine,
-    streams: HashMap<GateId, CompressedWaveform>,
+    engine: &'static DecompressionEngine,
 }
 
 impl Controller {
@@ -130,10 +130,9 @@ impl Controller {
         compressor: &Compressor,
     ) -> Result<Self, CompressError> {
         let ws = compressor.variant().window_size().ok_or(CompressError::UnsupportedWindow(0))?;
-        let engine = DecompressionEngine::for_variant(compressor.variant())?;
+        let engine = DecompressionEngine::shared(compressor.variant())?;
         let mut memory = BankedMemory::new();
         let mut table = HashMap::new();
-        let mut streams = HashMap::new();
         for (gate, wf) in library.iter() {
             let z = compressor.compress(wf)?;
             let (hi, hq) = memory.store(&z);
@@ -146,11 +145,11 @@ impl Controller {
                     n_samples: z.n_samples,
                     duration_ns: z.n_samples as f64 / z.sample_rate_gs,
                     banks_needed: 2 * banks_per_channel(config.clock_ratio, words, ws),
+                    stream: z,
                 },
             );
-            streams.insert(gate.clone(), z);
         }
-        Ok(Controller { config, memory, table, engine, streams })
+        Ok(Controller { config, memory, table, engine })
     }
 
     /// The configuration.
@@ -189,24 +188,27 @@ impl Controller {
     ///
     /// # Errors
     ///
-    /// Returns an error if an instruction references a non-resident gate
-    /// or a stream is malformed.
+    /// Returns [`CompressError::NotResident`] if an instruction references
+    /// a gate that was never loaded, or a decode error if a stream is
+    /// malformed.
     pub fn play(&self, instructions: &[Instruction]) -> Result<RunReport, CompressError> {
         // Bank-occupancy sweep.
         let mut events: Vec<(f64, i64, i64)> = Vec::new();
         let mut report = RunReport { instructions: instructions.len(), ..RunReport::default() };
+        // One engine's buffers, reused by every instruction.
+        let mut scratch = DecodeScratch::new();
+        let (mut i, mut q) = (Vec::new(), Vec::new());
         for instr in instructions {
-            let res =
-                self.table.get(&instr.gate).ok_or(CompressError::UnsupportedWindow(usize::MAX))?;
+            let res = self
+                .table
+                .get(&instr.gate)
+                .ok_or_else(|| CompressError::NotResident(instr.gate.clone()))?;
             events.push((instr.start_ns, res.banks_needed as i64, 1));
             events.push((instr.start_ns + res.duration_ns, -(res.banks_needed as i64), -1));
             report.makespan_ns = report.makespan_ns.max(instr.start_ns + res.duration_ns);
 
             // Stream the waveform through the engine (traffic accounting).
-            let z = &self.streams[&instr.gate];
-            let mut stats = EngineStats::default();
-            let _ = self.engine.decode_channel(&z.i, z.n_samples, &mut stats)?;
-            let _ = self.engine.decode_channel(&z.q, z.n_samples, &mut stats)?;
+            let stats = self.engine.decompress_into(&res.stream, &mut scratch, &mut i, &mut q)?;
             report.samples_streamed += stats.output_samples;
             report.words_fetched += stats.memory_words_read;
         }
@@ -327,7 +329,9 @@ mod tests {
             gate: GateId::single(GateKind::Custom("nope".into()), 99),
             start_ns: 0.0,
         };
-        assert!(c.play(&[bogus]).is_err());
+        let err = c.play(std::slice::from_ref(&bogus)).unwrap_err();
+        assert_eq!(err, CompressError::NotResident(bogus.gate));
+        assert!(err.to_string().contains("not resident"), "{err}");
     }
 
     #[test]

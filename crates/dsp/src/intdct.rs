@@ -413,18 +413,6 @@ impl IntDct {
             }
         }
     }
-
-    /// Forward transform of real-valued samples (convenience for analysis
-    /// paths that have not yet quantized to Q1.15).
-    pub fn forward_f64(&self, x: &[f64]) -> Vec<i32> {
-        let q: Vec<Q15> = x.iter().map(|&v| Q15::from_f64(v)).collect();
-        self.forward(&q)
-    }
-
-    /// Inverse transform returning real values in `[-1, 1)`.
-    pub fn inverse_f64(&self, y: &[i32]) -> Vec<f64> {
-        self.inverse(y).iter().map(|q| q.to_f64()).collect()
-    }
 }
 
 #[cfg(test)]

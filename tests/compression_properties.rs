@@ -8,6 +8,8 @@ use compaqt::dsp::rle::{CodedWord, RleDecoder, RleEncoder};
 use compaqt::pulse::waveform::Waveform;
 use proptest::prelude::*;
 
+mod common;
+
 /// A strategy for smooth band-limited signals (the waveform class):
 /// random low-harmonic mixtures, bounded amplitude.
 fn smooth_signal(len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -118,13 +120,19 @@ proptest! {
 
     #[test]
     fn engine_stats_account_every_sample(xs in smooth_signal(96)) {
-        use compaqt::core::engine::{DecompressionEngine, EngineStats};
+        use compaqt::core::engine::{DecodeScratch, DecompressionEngine, EngineStats};
         let wf = Waveform::from_real("prop", xs, 4.54);
         let z = Compressor::new(Variant::IntDctW { ws: 8 }).compress(&wf).unwrap();
         let engine = DecompressionEngine::for_variant(z.variant).unwrap();
+        let (mut scratch, mut i) = (DecodeScratch::new(), Vec::new());
         let mut stats = EngineStats::default();
-        let i = engine.decode_channel(&z.i, z.n_samples, &mut stats).unwrap();
+        engine.decode_channel_into(&z.i, z.n_samples, &mut scratch, &mut i, &mut stats).unwrap();
         prop_assert_eq!(i.len(), 96);
         prop_assert_eq!(stats.memory_words_read, z.i.words());
+        let mut oracle_stats = EngineStats::default();
+        let oracle =
+            common::oracle_decode_channel(z.variant, &z.i, z.n_samples, &mut oracle_stats).unwrap();
+        prop_assert_eq!(oracle, i);
+        prop_assert_eq!(oracle_stats, stats);
     }
 }

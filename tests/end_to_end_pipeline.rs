@@ -2,12 +2,14 @@
 //! compression -> banked compressed memory -> hardware decompression
 //! engine -> transmon evolution. Spans all five crates.
 
-use compaqt::core::compress::{Compressor, Variant};
-use compaqt::core::engine::{DecompressionEngine, EngineStats};
+use compaqt::core::compress::{CompressedWaveform, Compressor, Variant};
+use compaqt::core::engine::{DecodeScratch, DecompressionEngine};
 use compaqt::core::memory::BankedMemory;
 use compaqt::pulse::device::Device;
 use compaqt::pulse::vendor::Vendor;
 use compaqt::quantum::transmon;
+
+mod common;
 
 #[test]
 fn whole_library_survives_the_full_pipeline() {
@@ -16,18 +18,19 @@ fn whole_library_survives_the_full_pipeline() {
     let compressor = Compressor::new(Variant::IntDctW { ws: 16 }).with_max_window_words(3);
     let engine = DecompressionEngine::for_variant(Variant::IntDctW { ws: 16 }).unwrap();
     let mut memory = BankedMemory::new();
+    let mut scratch = DecodeScratch::new();
+    let (mut i, mut q) = (Vec::new(), Vec::new());
 
     for (gate, wf) in lib.iter() {
         let z = compressor.compress(wf).unwrap_or_else(|e| panic!("{gate}: {e}"));
         // Through the banked memory and back.
         let (hi, hq) = memory.store(&z);
-        let li = memory.load_channel(hi);
-        let lq = memory.load_channel(hq);
-        let mut stats = EngineStats::default();
-        let i = engine.decode_channel(&li, z.n_samples, &mut stats).unwrap();
-        let q = engine.decode_channel(&lq, z.n_samples, &mut stats).unwrap();
-        let restored =
-            compaqt::pulse::waveform::Waveform::new(wf.name(), i, q, wf.sample_rate_gs());
+        let banked =
+            CompressedWaveform { i: memory.load_channel(hi), q: memory.load_channel(hq), ..z };
+        let stats = engine.decompress_into(&banked, &mut scratch, &mut i, &mut q).unwrap();
+        let (restored, oracle_stats) = common::oracle_decompress(&banked).unwrap();
+        assert_eq!((restored.i(), restored.q()), (&i[..], &q[..]), "{gate}: decoders diverge");
+        assert_eq!(oracle_stats, stats, "{gate}: stats diverge");
         let mse = wf.mse(&restored);
         assert!(mse < 1e-4, "{gate}: mse {mse:e}");
         // Bandwidth expansion is the whole point.
@@ -46,15 +49,25 @@ fn banked_memory_is_bit_exact_with_direct_decode() {
     let compressor = Compressor::new(Variant::IntDctW { ws: 8 });
     let engine = DecompressionEngine::for_variant(Variant::IntDctW { ws: 8 }).unwrap();
     let mut memory = BankedMemory::new();
+    let mut scratch = DecodeScratch::new();
+    let (mut direct, mut banked) = (Vec::new(), Vec::new());
+    let mut stats = compaqt::core::EngineStats::default(); // not compared here
     for (_, wf) in lib.iter() {
         let z = compressor.compress(wf).unwrap();
         let (hi, _) = memory.store(&z);
         let li = memory.load_channel(hi);
-        let mut s1 = EngineStats::default();
-        let mut s2 = EngineStats::default();
-        let direct = engine.decode_channel(&z.i, z.n_samples, &mut s1).unwrap();
-        let banked = engine.decode_channel(&li, z.n_samples, &mut s2).unwrap();
+        direct.clear();
+        banked.clear();
+        engine
+            .decode_channel_into(&z.i, z.n_samples, &mut scratch, &mut direct, &mut stats)
+            .unwrap();
+        engine
+            .decode_channel_into(&li, z.n_samples, &mut scratch, &mut banked, &mut stats)
+            .unwrap();
         assert_eq!(direct, banked, "banked path must be bit-exact");
+        let oracle =
+            common::oracle_decode_channel(z.variant, &li, z.n_samples, &mut stats).unwrap();
+        assert_eq!(oracle, banked, "banked decode must match the oracle");
     }
 }
 

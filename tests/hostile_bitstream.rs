@@ -9,9 +9,9 @@
 //! 1. the raw [`RleDecoder`] over arbitrary 16-bit words (every `u16`
 //!    unpacks to *some* codeword, so the byte-mangler explores the whole
 //!    wire alphabet),
-//! 2. [`DecompressionEngine::decompress`]/[`decompress_into`] over
-//!    compressor-produced streams whose words were bit-flipped or
-//!    truncated,
+//! 2. [`decompress_into`], checked against the reference decoder in
+//!    `tests/common`, over compressor-produced streams whose words were
+//!    bit-flipped or truncated,
 //! 3. stream *metadata* lies: wrong window counts, absurd `n_samples`
 //!    claims (which must be rejected before any buffer is sized from
 //!    them), hostile delta headers and delta chains that would overflow
@@ -26,25 +26,31 @@ use compaqt::dsp::rle::{CodedWord, RleCodeword, RleDecoder, MAX_RUN};
 use compaqt::pulse::shapes::{Drag, PulseShape};
 use proptest::prelude::*;
 
-/// Decodes a mangled waveform through both engine paths; both must agree
-/// on panicking never and may only differ in nothing (they share the
-/// arithmetic).
+mod common;
+
+/// Decodes a mangled waveform through the engine and the reference
+/// decoder: neither may panic, both must accept or reject alike, and
+/// on accepted streams samples and stats must agree exactly.
 fn decode_both_paths(z: &CompressedWaveform) {
+    let oracle = common::oracle_decompress(z);
     let Ok(engine) = DecompressionEngine::for_variant(z.variant) else {
+        assert!(oracle.is_err(), "the oracle accepted a variant the engine rejects");
         return; // hostile variant header: rejected, done.
     };
-    let alloc = engine.decompress(z);
     let mut scratch = DecodeScratch::new();
     let (mut i, mut q) = (Vec::new(), Vec::new());
-    let reuse = engine.decompress_into(z, &mut scratch, &mut i, &mut q);
-    match (&alloc, &reuse) {
-        (Ok((wf, _)), Ok(_)) => {
-            assert_eq!(wf.i(), &i[..], "paths must agree on accepted streams");
-            assert_eq!(wf.q(), &q[..], "paths must agree on accepted streams");
+    let engine_result = engine.decompress_into(z, &mut scratch, &mut i, &mut q);
+    match (&oracle, &engine_result) {
+        (Ok((wf, oracle_stats)), Ok(stats)) => {
+            assert_eq!(wf.i(), &i[..], "decoders must agree on accepted streams");
+            assert_eq!(wf.q(), &q[..], "decoders must agree on accepted streams");
+            assert_eq!(oracle_stats, stats, "decoders must agree on the stats");
             assert!(i.len() <= z.n_samples, "output clamped to the sample claim");
         }
         (Err(_), Err(_)) => {}
-        _ => panic!("one path accepted what the other rejected: {alloc:?} vs {reuse:?}"),
+        _ => {
+            panic!("one decoder accepted what the other rejected: {oracle:?} vs {engine_result:?}")
+        }
     }
 }
 
@@ -199,9 +205,14 @@ fn dct_n_stream_with_extra_windows_is_rejected() {
         windows.push(dup);
     }
     let engine = DecompressionEngine::for_variant(Variant::DctN).unwrap();
+    let (mut scratch, mut out) = (DecodeScratch::new(), Vec::new());
     let mut stats = EngineStats::default();
-    let err = engine.decode_channel(&z.i, z.n_samples, &mut stats).unwrap_err();
+    let err = engine
+        .decode_channel_into(&z.i, z.n_samples, &mut scratch, &mut out, &mut stats)
+        .unwrap_err();
     assert!(matches!(err, CompressError::MalformedStream { .. }), "got {err:?}");
+    let err = common::oracle_decode_channel(z.variant, &z.i, z.n_samples, &mut stats).unwrap_err();
+    assert!(matches!(err, CompressError::MalformedStream { .. }), "oracle got {err:?}");
 }
 
 #[test]
@@ -217,8 +228,8 @@ fn dct_n_sample_claim_beyond_rle_expansion_is_rejected_before_allocation() {
         q: ChannelData::Windows(vec![vec![CodedWord::Coeff(5)]]),
     };
     let engine = DecompressionEngine::for_variant(Variant::DctN).unwrap();
-    let err = engine.decompress(&z).unwrap_err();
-    assert!(matches!(err, CompressError::MalformedStream { .. }), "got {err:?}");
+    let err = common::oracle_decompress(&z).unwrap_err();
+    assert!(matches!(err, CompressError::MalformedStream { .. }), "oracle got {err:?}");
     let mut scratch = DecodeScratch::new();
     let (mut i, mut q) = (Vec::new(), Vec::new());
     let err = engine.decompress_into(&z, &mut scratch, &mut i, &mut q).unwrap_err();

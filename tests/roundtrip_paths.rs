@@ -1,15 +1,17 @@
-//! Round-trip property tests over *both* paths of *both* codec
-//! directions.
+//! Round-trip property tests over both codec directions.
 //!
-//! Every compression variant is pushed through the allocating decoder
-//! and the plan/buffer-reuse (`_into`) decoder, and the two
+//! Every compression variant is decoded by the engine's one decoder
+//! (`decompress_into`) and by the reference decoder in `tests/common`
+//! (per-window RLE expansion + allocating matrix inverse), and the two
 //! reconstructions must agree **bit-exactly** (f64 `==`, not a
-//! tolerance): the zero-allocation path is a pure refactor of the
-//! arithmetic, so any ULP of drift is a bug. Engine stats must agree
-//! exactly as well. The same contract binds the encode side: a reused
-//! [`EncodeScratch`] + output slot must produce streams `==` to the
-//! allocating compressor's, for every variant, window size, and encoder
-//! (plain, overlapped, adaptive).
+//! tolerance): the fused sparse kernel computes the same integer
+//! arithmetic as the matrix inverse, so any ULP of drift is a bug.
+//! Engine stats must agree exactly as well. The encode side is held to
+//! the same contract: a reused [`EncodeScratch`] + output slot must
+//! produce streams `==` to the allocating compressor's, for every
+//! variant, window size, and encoder (plain, overlapped, adaptive).
+
+mod common;
 
 use compaqt::core::batch;
 use compaqt::core::compress::{ChannelData, CompressedWaveform, Compressor, Variant};
@@ -77,11 +79,11 @@ proptest! {
         for z in &streams {
             let variant = z.variant;
             let engine = DecompressionEngine::for_variant(variant).unwrap();
-            let (alloc, alloc_stats) = engine.decompress(z).unwrap();
+            let (oracle, oracle_stats) = common::oracle_decompress(z).unwrap();
             let stats = engine.decompress_into(z, &mut scratch, &mut i, &mut q).unwrap();
-            prop_assert_eq!(alloc.i(), &i[..], "{:?}: I channel must be bit-exact", variant);
-            prop_assert_eq!(alloc.q(), &q[..], "{:?}: Q channel must be bit-exact", variant);
-            prop_assert_eq!(alloc_stats, stats);
+            prop_assert_eq!(oracle.i(), &i[..], "{:?}: I channel must be bit-exact", variant);
+            prop_assert_eq!(oracle.q(), &q[..], "{:?}: Q channel must be bit-exact", variant);
+            prop_assert_eq!(oracle_stats, stats);
         }
     }
 
@@ -98,10 +100,10 @@ proptest! {
         for variant in [Variant::DctW { ws }, Variant::IntDctW { ws }] {
             let z = Compressor::new(variant).compress(&wf).unwrap();
             let engine = DecompressionEngine::for_variant(variant).unwrap();
-            let (alloc, _) = engine.decompress(&z).unwrap();
+            let (oracle, _) = common::oracle_decompress(&z).unwrap();
             engine.decompress_into(&z, &mut scratch, &mut i, &mut q).unwrap();
-            prop_assert_eq!(alloc.i(), &i[..]);
-            prop_assert_eq!(alloc.q(), &q[..]);
+            prop_assert_eq!(oracle.i(), &i[..]);
+            prop_assert_eq!(oracle.q(), &q[..]);
         }
     }
 
@@ -114,10 +116,9 @@ proptest! {
             .collect();
         let (seq, _) = batch::decompress_library(&zs).unwrap();
         for (z, a) in zs.iter().zip(&seq) {
-            let engine = DecompressionEngine::for_variant(z.variant).unwrap();
-            let (single, _) = engine.decompress(z).unwrap();
-            prop_assert_eq!(single.i(), a.i());
-            prop_assert_eq!(single.q(), a.q());
+            let (oracle, _) = common::oracle_decompress(z).unwrap();
+            prop_assert_eq!(oracle.i(), a.i());
+            prop_assert_eq!(oracle.q(), a.q());
         }
     }
 
@@ -181,12 +182,12 @@ proptest! {
             .compress(&wf)
             .unwrap();
         let engine = DecompressionEngine::for_variant(z.variant).unwrap();
-        let (alloc, _) = engine.decompress(&z).unwrap();
+        let (oracle, _) = common::oracle_decompress(&z).unwrap();
         let mut scratch = DecodeScratch::new();
         let (mut i, mut q) = (Vec::new(), Vec::new());
         engine.decompress_into(&z, &mut scratch, &mut i, &mut q).unwrap();
-        prop_assert_eq!(alloc.i(), &i[..]);
-        prop_assert_eq!(alloc.q(), &q[..]);
+        prop_assert_eq!(oracle.i(), &i[..]);
+        prop_assert_eq!(oracle.q(), &q[..]);
     }
 }
 
@@ -210,11 +211,11 @@ fn mixed_length_dct_n_library_round_trips_through_shared_scratches() {
         // Encode through the shared scratch == allocating encode.
         compressor.compress_into(&wf, &mut enc, &mut z).unwrap();
         assert_eq!(z, compressor.compress(&wf).unwrap(), "n={n}: encode paths diverge");
-        // Decode through the shared scratch == allocating decode.
-        let (alloc, _) = engine.decompress(&z).unwrap();
+        // Decode through the shared scratch == reference decode.
+        let (oracle, _) = common::oracle_decompress(&z).unwrap();
         engine.decompress_into(&z, &mut dec, &mut i, &mut q).unwrap();
-        assert_eq!(alloc.i(), &i[..], "n={n}: decode paths diverge");
-        assert_eq!(alloc.q(), &q[..], "n={n}: decode paths diverge");
+        assert_eq!(oracle.i(), &i[..], "n={n}: decode diverges from the oracle");
+        assert_eq!(oracle.q(), &q[..], "n={n}: decode diverges from the oracle");
     }
     // Five distinct lengths -> five cached plans on each side, within the
     // bound; revisits were cache hits, not rebuilds.
@@ -241,11 +242,31 @@ fn plan_cache_stays_bounded_under_adversarial_length_sequences() {
     for &n in lengths.iter().chain([lengths[0]].iter()) {
         let wf = Gaussian::new(n, 0.5, n as f64 / 5.0).to_waveform("g", 4.54);
         let z = compressor.compress(&wf).unwrap();
-        let (alloc, _) = engine.decompress(&z).unwrap();
+        let (oracle, _) = common::oracle_decompress(&z).unwrap();
         engine.decompress_into(&z, &mut dec, &mut i, &mut q).unwrap();
-        assert_eq!(alloc.i(), &i[..], "n={n}");
+        assert_eq!(oracle.i(), &i[..], "n={n}");
         assert!(dec.plan_cache().len() <= cap, "n={n}: cache exceeded its bound");
     }
     assert_eq!(dec.plan_cache().len(), cap, "sweep should fill the cache exactly");
     assert!(dec.plan_cache().contains(lengths[0]), "revisited length must be re-cached");
+}
+
+/// The adaptive decoder chains window segments through the engine and
+/// expands plateaus with the IDCT bypassed; samples and stats must match
+/// the reference decode of the same segments.
+#[test]
+fn adaptive_decode_matches_the_oracle() {
+    use compaqt::core::adaptive::AdaptiveCompressor;
+    use compaqt::pulse::shapes::{GaussianSquare, PulseShape};
+    let flat = GaussianSquare::new(454, 0.35, 12.0, 360).to_waveform("flat", 4.54);
+    for variant in
+        [Variant::IntDctW { ws: 16 }, Variant::IntDctW { ws: 8 }, Variant::DctW { ws: 16 }]
+    {
+        let z = AdaptiveCompressor::new(variant).compress(&flat).unwrap();
+        let (i, q, stats) = common::oracle_decompress_adaptive(&z);
+        let (wf, engine_stats) = z.decompress().unwrap();
+        assert_eq!((wf.i(), wf.q()), (&i[..], &q[..]), "{variant:?}");
+        assert_eq!(engine_stats, stats, "{variant:?}");
+        assert!(stats.bypassed_samples > 0, "{variant:?}: the plateau must bypass the IDCT");
+    }
 }
