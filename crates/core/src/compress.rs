@@ -72,7 +72,7 @@
 //! stream in place. Steady-state recompression of a warm library
 //! performs zero heap allocations (see `tests/alloc_regression.rs`).
 
-use crate::engine::EncodeScratch;
+use crate::engine::{DecompressionEngine, EncodeScratch};
 use crate::CompressError;
 use compaqt_dsp::batched::BatchedIntDctPlan;
 use compaqt_dsp::fixed::Q15;
@@ -271,7 +271,7 @@ impl CompressedWaveform {
     /// Returns an error if a run-length stream is malformed (cannot happen
     /// for streams produced by [`Compressor::compress`]).
     pub fn decompress(&self) -> Result<Waveform, CompressError> {
-        let (wf, _) = crate::engine::DecompressionEngine::shared(self.variant)?.decompress(self)?;
+        let (wf, _) = DecompressionEngine::shared(self.variant)?.decompress(self)?;
         Ok(wf)
     }
 }
@@ -488,7 +488,7 @@ impl Compressor {
             }
             Variant::DctN => float_full_into(samples, self.threshold, scratch, coeffs),
             Variant::DctW { ws } => {
-                float_windows_into(samples, ws, self.threshold, scratch, coeffs)
+                float_windows_into(samples, ws, self.threshold, scratch, coeffs)?;
             }
             Variant::IntDctW { ws } => {
                 let thr = int_threshold(self.threshold, ws);
@@ -601,12 +601,16 @@ fn float_full_into(
 /// `ws`-chunk per window to `coeffs`. The tail window is zero-padded,
 /// matching [`compaqt_dsp::window::split`] with [`PadMode::Zero`].
 ///
-/// All windows of the channel are staged flat and transformed by one
-/// call to the SoA-batched forward kernel
-/// ([`compaqt_dsp::batched::BatchedDct`]) — bit-identical to the
-/// per-window [`compaqt_dsp::dct::Dct::forward_into`] it replaced.
-/// Thresholding and quantization are elementwise, so they run over the
-/// flat coefficient buffer unchanged.
+/// Each window runs [`compaqt_dsp::dct::Dct::forward_into`] through the
+/// `window`/`fcoeffs` staging of [`EncodeScratch::float_buffers`], as
+/// the overlapped encoder does. The transform is the shared decode
+/// engine's for this variant, so encode and decode hold one basis per
+/// window size.
+///
+/// # Errors
+///
+/// Returns [`CompressError::UnsupportedWindow`] for window sizes the
+/// float windowed codec does not support.
 ///
 /// [`PadMode::Zero`]: compaqt_dsp::window::PadMode::Zero
 fn float_windows_into(
@@ -615,36 +619,34 @@ fn float_windows_into(
     threshold: f64,
     scratch: &mut EncodeScratch,
     out: &mut Vec<i32>,
-) {
+) -> Result<(), CompressError> {
+    let dct = DecompressionEngine::shared(Variant::DctW { ws })?
+        .float_dct()
+        .expect("a DCT-W engine has a float stage");
     let scale = f64::from(1u32 << float_coeff_scale_bits(ws));
-    let padded = samples.len().div_ceil(ws) * ws;
-    // Take the staging buffers so the cached batched plan can stay
-    // borrowed across the transform (one lookup per channel).
-    let mut f_stage = std::mem::take(&mut scratch.f_stage);
-    let mut fcoeffs = std::mem::take(&mut scratch.fcoeffs);
-    f_stage.clear();
-    f_stage.resize(padded, 0.0);
-    f_stage[..samples.len()].copy_from_slice(samples);
-    fcoeffs.resize(padded, 0.0);
-    scratch.batched_dct(ws).forward_batched_into(&f_stage, &mut fcoeffs[..padded]);
-    compaqt_dsp::threshold::apply_threshold(&mut fcoeffs[..padded], threshold);
-    out.extend(
-        fcoeffs[..padded].iter().map(|&c| ((c * scale).round() as i32).clamp(MIN_COEFF, MAX_COEFF)),
-    );
-    scratch.f_stage = f_stage;
-    scratch.fcoeffs = fcoeffs;
+    for chunk in samples.chunks(ws) {
+        let (window, fcoeffs, _) = scratch.float_buffers(ws);
+        window[..chunk.len()].copy_from_slice(chunk);
+        window[chunk.len()..].fill(0.0);
+        dct.forward_into(window, fcoeffs);
+        compaqt_dsp::threshold::apply_threshold(fcoeffs, threshold);
+        out.extend(
+            fcoeffs.iter().map(|&c| ((c * scale).round() as i32).clamp(MIN_COEFF, MAX_COEFF)),
+        );
+    }
+    Ok(())
 }
 
 /// Windowed integer transform of one channel, appending one quantized
 /// `ws`-chunk per window to `coeffs` and one class flag per window to
 /// `constant`.
 ///
-/// Like [`float_windows_into`], the whole channel is staged as flat
-/// Q1.15 windows (through the dispatched
-/// [`compaqt_dsp::fixed::quantize_into`]). Each staged window is then
-/// classified once: a constant window gets its DC word in closed form,
-/// and only the varying windows are transformed, by one SoA-batched
-/// forward call ([`compaqt_dsp::batched::BatchedIntDctPlan`]),
+/// The whole channel is staged as flat Q1.15 windows (through the
+/// dispatched [`compaqt_dsp::fixed::quantize_into`]). Each staged window
+/// is then classified once: a constant window gets its DC word in closed
+/// form, and only the varying windows are transformed, by one batched
+/// forward call ([`compaqt_dsp::batched::BatchedIntDctPlan`]: the AVX2
+/// SoA butterfly, or the per-window kernel on the scalar tier),
 /// bit-identical to the per-window
 /// [`compaqt_dsp::intdct::IntDct::forward_into`].
 fn int_windows_into(

@@ -49,7 +49,7 @@
 
 use crate::compress::{ChannelData, CompressedWaveform, Variant, INT_STORE_SHIFT};
 use crate::CompressError;
-use compaqt_dsp::batched::{BatchedDct, BatchedIntDctPlan};
+use compaqt_dsp::batched::BatchedIntDctPlan;
 use compaqt_dsp::dct::Dct;
 use compaqt_dsp::fixed::Q15;
 use compaqt_dsp::intdct::{IntDct, SUPPORTED_SIZES};
@@ -213,9 +213,11 @@ impl DecodeScratch {
 /// * the flat per-channel quantized coefficient windows that I/Q
 ///   equalization consumes,
 /// * cached transforms — a bounded keyed [`DctPlanCache`] for full-length
-///   `DCT-N` forwards plus one cached batched plan
-///   ([`BatchedDct`]/[`BatchedIntDctPlan`]) per windowed size (at most
-///   the five supported sizes, so no eviction is needed).
+///   `DCT-N` forwards plus one cached [`BatchedIntDctPlan`] per
+///   int-DCT-W window size (at most the five supported sizes, so no
+///   eviction is needed). The float `DCT-W` encode needs no cache of its
+///   own: it runs the per-window [`Dct`] of the shared decode engine for
+///   its window size ([`DecompressionEngine::shared`]).
 ///
 /// With a reused scratch and a reused output stream
 /// ([`crate::compress::Compressor::compress_into`]), steady-state
@@ -268,14 +270,10 @@ pub struct EncodeScratch {
     /// The batched forward's coefficients for the gathered varying
     /// windows.
     pub(crate) varying: Vec<i32>,
-    /// Flat float staging for the batched float forward.
-    pub(crate) f_stage: Vec<f64>,
     /// Bounded `DCT-N` forward plans, keyed by waveform length.
     pub(crate) plans: DctPlanCache,
     /// Cached batched integer forward plans, one per window size.
     pub(crate) batched_int: Vec<BatchedIntDctPlan>,
-    /// Cached batched float forward plans, one per window size.
-    pub(crate) batched_dcts: Vec<BatchedDct>,
 }
 
 impl EncodeScratch {
@@ -305,17 +303,6 @@ impl EncodeScratch {
                 BatchedIntDctPlan::new(ws).map_err(|e| CompressError::UnsupportedWindow(e.size))?;
             self.batched_int.push(plan);
             Ok(self.batched_int.last_mut().expect("just pushed"))
-        }
-    }
-
-    /// The cached batched float forward plan for window size `ws`, built
-    /// on first use.
-    pub(crate) fn batched_dct(&mut self, ws: usize) -> &mut BatchedDct {
-        if let Some(idx) = self.batched_dcts.iter().position(|p| p.len() == ws) {
-            &mut self.batched_dcts[idx]
-        } else {
-            self.batched_dcts.push(BatchedDct::new(ws));
-            self.batched_dcts.last_mut().expect("just pushed")
         }
     }
 
@@ -436,6 +423,16 @@ impl DecompressionEngine {
     /// The variant this engine decodes.
     pub fn variant(&self) -> Variant {
         self.variant
+    }
+
+    /// The float transform of a `DCT-W` engine (`None` for every other
+    /// variant) — the one [`Dct`] per window size that both directions
+    /// of the float windowed codec run.
+    pub(crate) fn float_dct(&self) -> Option<&Dct> {
+        match &self.stage {
+            InverseStage::Float { dct, .. } => Some(dct),
+            _ => None,
+        }
     }
 
     /// Decompresses a waveform, returning the reconstruction and the

@@ -106,6 +106,10 @@ pub enum CompressError {
     /// A controller was asked to play a gate whose waveform it never
     /// loaded.
     NotResident(compaqt_pulse::library::GateId),
+    /// A controller was loaded with a variant that has no fixed
+    /// transform window (`Delta`, `DCT-N`); its streaming model needs
+    /// one.
+    NotWindowed(Variant),
 }
 
 impl fmt::Display for CompressError {
@@ -136,6 +140,11 @@ impl fmt::Display for CompressError {
             CompressError::NotResident(gate) => {
                 write!(f, "gate {gate} is not resident in the controller")
             }
+            CompressError::NotWindowed(variant) => write!(
+                f,
+                "the controller needs a windowed variant (DCT-W or int-DCT-W), not {}",
+                variant.label()
+            ),
         }
     }
 }

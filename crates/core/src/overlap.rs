@@ -240,7 +240,11 @@ impl OverlapCompressor {
     ) -> Result<(), CompressError> {
         let windows = match channel {
             ChannelData::Windows(w) => w,
-            _ => return Err(CompressError::UnsupportedWindow(0)),
+            _ => {
+                return Err(CompressError::MalformedStream {
+                    reason: "lapped channel is not a window stream",
+                })
+            }
         };
         // Every valid 50%-hop stream stores n_frames(n) > n/hop frames,
         // so a claim beyond windows*hop is impossible; reject it before
@@ -357,6 +361,15 @@ mod tests {
             c.decode_channel_into(&z.q, z.n_samples, &mut scratch, &mut out).unwrap();
             assert_eq!(fresh.q(), &out[..]);
         }
+    }
+
+    #[test]
+    fn non_window_channel_is_a_malformed_stream() {
+        let c = OverlapCompressor::new(8).unwrap();
+        let raw = ChannelData::Raw(vec![0; 16]);
+        let mut scratch = crate::engine::DecodeScratch::new();
+        let err = c.decode_channel_into(&raw, 16, &mut scratch, &mut Vec::new()).unwrap_err();
+        assert!(matches!(err, CompressError::MalformedStream { .. }), "{err:?}");
     }
 
     #[test]

@@ -122,15 +122,17 @@ impl Controller {
     ///
     /// # Errors
     ///
-    /// Propagates compression errors; fails if the compressor's variant is
-    /// not windowed (the streaming model needs fixed windows).
+    /// Propagates compression errors; returns
+    /// [`CompressError::NotWindowed`] if the compressor's variant is not
+    /// windowed (the streaming model needs fixed windows).
     pub fn load(
         config: ControllerConfig,
         library: &PulseLibrary,
         compressor: &Compressor,
     ) -> Result<Self, CompressError> {
-        let ws = compressor.variant().window_size().ok_or(CompressError::UnsupportedWindow(0))?;
-        let engine = DecompressionEngine::shared(compressor.variant())?;
+        let variant = compressor.variant();
+        let ws = variant.window_size().ok_or(CompressError::NotWindowed(variant))?;
+        let engine = DecompressionEngine::shared(variant)?;
         let mut memory = BankedMemory::new();
         let mut table = HashMap::new();
         for (gate, wf) in library.iter() {
@@ -332,6 +334,18 @@ mod tests {
         let err = c.play(std::slice::from_ref(&bogus)).unwrap_err();
         assert_eq!(err, CompressError::NotResident(bogus.gate));
         assert!(err.to_string().contains("not resident"), "{err}");
+    }
+
+    #[test]
+    fn non_windowed_variants_are_rejected_by_name() {
+        let lib = (*Device::synthesize(Vendor::Ibm, 2, 0x5EC).pulse_library()).clone();
+        let config = ControllerConfig { total_banks: 1152, clock_ratio: 16, window: 16 };
+        for variant in [Variant::Delta, Variant::DctN] {
+            let err = Controller::load(config, &lib, &Compressor::new(variant)).unwrap_err();
+            assert_eq!(err, CompressError::NotWindowed(variant));
+            let msg = err.to_string();
+            assert!(msg.contains("windowed variant") && msg.contains(&variant.label()), "{msg}");
+        }
     }
 
     #[test]

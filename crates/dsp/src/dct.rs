@@ -63,12 +63,6 @@ impl Dct {
         self.n
     }
 
-    /// Basis matrix row `k` (`basis[k*n..][..n]`), for the batched SoA
-    /// forward kernel in [`crate::batched`].
-    pub(crate) fn basis_row(&self, k: usize) -> &[f64] {
-        &self.basis[k * self.n..(k + 1) * self.n]
-    }
-
     /// Returns `true` if this is the (degenerate) 0-point transform.
     ///
     /// Always `false`: construction requires `n > 0`.
@@ -221,7 +215,7 @@ mod tests {
     }
 
     #[test]
-    fn basis_rows_are_orthonormal() {
+    fn basis_matrix_rows_are_orthonormal() {
         let dct = Dct::new(12);
         for k1 in 0..12 {
             for k2 in 0..12 {

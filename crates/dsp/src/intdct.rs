@@ -21,15 +21,16 @@
 //! stream is untouched — while odd indices are pure roundings of
 //! `64*sqrt(2)*cos(m*pi/128)`.
 //!
-//! # Forward kernel selection and the scale-folding contract
+//! # Forward kernels and the scale-folding contract
 //!
-//! Since the factorized-forward work, every `IntDct` carries two forward
-//! kernels with one arithmetic contract:
+//! Every `IntDct` carries two forward kernels with one arithmetic
+//! contract:
 //!
 //! * the **factorized butterfly** ([`crate::loeffler::IntButterflyPlan`],
-//!   the default) — Loeffler reflection butterflies recursing through the
-//!   even rows, dense integer rotator banks for the odd rows; roughly a
-//!   third of the dense multiply count; and
+//!   the production kernel behind [`IntDct::forward_into`]) — Loeffler
+//!   reflection butterflies recursing through the even rows, dense
+//!   integer rotator banks for the odd rows; roughly a third of the
+//!   dense multiply count; and
 //! * the **dense matrix oracle** ([`IntDct::forward_matrix_into`]) — the
 //!   historical row-by-row multiply, kept as the reference the butterfly
 //!   is proptested against.
@@ -41,9 +42,9 @@
 //! stays folded into [`IntDct::forward_shift`] and the quantization
 //! constants exactly as before — selecting a kernel never changes a
 //! stored stream, and `forward_shift + inverse_shift = 12 + log2 N`
-//! keeps cancelling `S^2`. Should a future matrix lack the butterfly
-//! symmetry (or exceed [`crate::loeffler::MAX_BUTTERFLY_LEN`]), plan
-//! construction falls back to the matrix path silently and bit-exactly.
+//! keeps cancelling `S^2`. Every built-in matrix factorizes
+//! ([`IntDct::new`] checks it), so the butterfly is the one production
+//! forward kernel.
 
 use crate::fixed::Q15;
 use crate::loeffler::IntButterflyPlan;
@@ -131,10 +132,9 @@ impl std::error::Error for UnsupportedSizeError {}
 /// Forward transforms map Q1.15 samples to integer coefficients; the
 /// inverse maps coefficients back to Q1.15 with only adds and shifts, which
 /// is what makes the hardware decompression engine cheap (Table IV).
-/// The forward runs the factorized Loeffler-style butterfly kernel by
-/// default (bit-exact with the matrix, ~3x fewer multiplies; see the
-/// module docs), with [`IntDct::forward_matrix_into`] kept as the dense
-/// oracle.
+/// The forward runs the factorized Loeffler-style butterfly kernel
+/// (bit-exact with the matrix, ~3x fewer multiplies; see the module
+/// docs), with [`IntDct::forward_matrix_into`] kept as the dense oracle.
 ///
 /// # Example
 ///
@@ -159,10 +159,8 @@ pub struct IntDct {
     log2n: u32,
     /// Row-major `n x n` integer basis matrix.
     matrix: Vec<i32>,
-    /// Factorized forward/inverse kernel; `None` only for matrices the
-    /// butterfly cannot represent (never for the built-in sizes), in
-    /// which case the dense matrix path serves both directions.
-    butterfly: Option<IntButterflyPlan>,
+    /// Factorized forward kernel.
+    butterfly: IntButterflyPlan,
 }
 
 impl IntDct {
@@ -186,8 +184,8 @@ impl IntDct {
                 };
             }
         }
-        let butterfly = IntButterflyPlan::from_matrix(n, &matrix);
-        debug_assert!(butterfly.is_some(), "built-in matrices always factorize");
+        let butterfly =
+            IntButterflyPlan::from_matrix(n, &matrix).expect("built-in matrices always factorize");
         Ok(IntDct { n, log2n, matrix, butterfly })
     }
 
@@ -267,19 +265,13 @@ impl IntDct {
     /// [`IntDct::forward`] into a caller-provided buffer — the
     /// zero-allocation entry point used by plan-based codec loops.
     ///
-    /// Runs the factorized butterfly kernel when the matrix supports it
-    /// (always, for the built-in sizes), falling back to the dense
-    /// matrix path otherwise; the two are bit-identical (see the module
-    /// docs), so callers never observe the selection.
+    /// Runs the factorized butterfly kernel, bit-identical to
+    /// [`IntDct::forward_matrix_into`] (see the module docs).
     ///
     /// # Panics
     ///
     /// Panics if `x.len()` or `out.len()` differs from the transform size.
     pub fn forward_into(&self, x: &[Q15], out: &mut [i32]) {
-        let Some(bf) = &self.butterfly else {
-            self.forward_matrix_into(x, out);
-            return;
-        };
         assert_eq!(x.len(), self.n, "window length must match transform size");
         assert_eq!(out.len(), self.n, "output length must match transform size");
         // Widen Q1.15 to i32 for the kernel. All arithmetic fits i32:
@@ -290,7 +282,7 @@ impl IntDct {
         for (w, s) in wide.iter_mut().zip(x) {
             *w = i32::from(s.raw());
         }
-        bf.forward_accumulate(wide, out);
+        self.butterfly.forward_accumulate(wide, out);
         let shift = self.forward_shift();
         let rnd = 1i32 << (shift - 1);
         for o in out.iter_mut() {
@@ -321,18 +313,11 @@ impl IntDct {
         }
     }
 
-    /// Whether the factorized butterfly kernel is driving
-    /// [`IntDct::forward_into`] (`false` only for matrices outside the
-    /// butterfly's representable family).
-    pub fn uses_factorized_forward(&self) -> bool {
-        self.butterfly.is_some()
-    }
-
-    /// The factorized kernel, when the matrix admits one — shared with the
-    /// batched SoA plans in [`crate::batched`] so both drive the identical
-    /// flowgraph constants.
-    pub(crate) fn butterfly(&self) -> Option<&IntButterflyPlan> {
-        self.butterfly.as_ref()
+    /// The factorized kernel — shared with the batched SoA plan in
+    /// [`crate::batched`] so both drive the identical flowgraph
+    /// constants.
+    pub(crate) fn butterfly(&self) -> &IntButterflyPlan {
+        &self.butterfly
     }
 
     /// Inverse integer DCT: transposed matrix multiply plus a right shift.
@@ -453,13 +438,6 @@ mod tests {
         }
         assert_eq!(t.scale(), 512.0);
         assert_eq!(t.forward_shift(), 12);
-    }
-
-    #[test]
-    fn factorized_forward_is_the_default_for_all_sizes() {
-        for n in SUPPORTED_SIZES {
-            assert!(IntDct::new(n).unwrap().uses_factorized_forward(), "n={n}");
-        }
     }
 
     #[test]

@@ -35,12 +35,12 @@
 //! * [`plan`] — the reusable fast-DCT plan ([`plan::DctPlan`], the one
 //!   `DCT-N` kernel) with caller-provided output buffers, plus the
 //!   bounded keyed [`plan::DctPlanCache`] for mixed-length workloads.
-//! * [`batched`] — structure-of-arrays batch forward transforms, the
-//!   encode kernels ([`batched::BatchedIntDctPlan`],
-//!   [`batched::BatchedDct`]), that process many windows per call
-//!   through runtime-dispatched SSE2/AVX2 kernels with a mandatory
-//!   scalar fallback, bit-identical to the per-window kernels. Decode
-//!   stays per window, in [`sparse`].
+//! * [`batched`] — the int-DCT-W encode kernel
+//!   ([`batched::BatchedIntDctPlan`]), which transforms many windows per
+//!   call through a runtime-dispatched AVX2 structure-of-arrays
+//!   butterfly, with the per-window kernel as the mandatory scalar
+//!   fallback; bit-identical either way. Decode stays per window, in
+//!   [`sparse`].
 //!
 //! # Plans and buffer reuse
 //!
@@ -98,7 +98,7 @@ pub mod sparse;
 pub mod threshold;
 pub mod window;
 
-pub use batched::{BatchedDct, BatchedIntDctPlan, KernelTier};
+pub use batched::{BatchedIntDctPlan, KernelTier};
 pub use dct::{dct2, dct3, Dct};
 pub use fixed::Q15;
 pub use intdct::IntDct;

@@ -12,9 +12,10 @@
 //! * **Table** — one byte per step through a 256-entry table built at
 //!   compile time. It runs on every platform, handles short inputs and
 //!   tails, and is the reference the folding kernel is tested against.
-//! * **Carry-less folding** — on x86_64, when the [`KernelTier`] is not
-//!   pinned to scalar (`COMPAQT_FORCE_SCALAR`) and the CPU reports
-//!   `pclmulqdq` and `sse4.1`, inputs of at least 64 bytes are folded
+//! * **Carry-less folding** — on x86_64, when the CPU reports
+//!   `pclmulqdq` and `sse4.1` and the process is not pinned to scalar
+//!   kernels ([`KernelTier::scalar_pinned`], `COMPAQT_FORCE_SCALAR`),
+//!   inputs of at least 64 bytes are folded
 //!   64 bytes per step with `pclmulqdq` (Gopal et al., "Fast CRC
 //!   Computation for Generic Polynomials Using PCLMULQDQ Instruction",
 //!   Intel, 2009).
@@ -74,19 +75,20 @@ static TABLE: [u32; 256] = build_table();
 /// assert_eq!(compaqt_io::crc32::crc32(b"123456789"), 0xCBF4_3926);
 /// ```
 pub fn crc32(data: &[u8]) -> u32 {
-    crc32_on(KernelTier::detected(), data)
+    crc32_on(!KernelTier::scalar_pinned(), data)
 }
 
-/// [`crc32`] with the kernel tier pinned; [`KernelTier::Scalar`] always
-/// takes the table.
-fn crc32_on(tier: KernelTier, data: &[u8]) -> u32 {
+/// [`crc32`] with the kernel choice made by the caller: `fold` lets
+/// long inputs take the folding kernel where the CPU has it; `false`
+/// always takes the table.
+fn crc32_on(fold: bool, data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
-    if tier != KernelTier::Scalar && data.len() >= FOLD_MIN_BYTES && clmul::available() {
+    if fold && data.len() >= FOLD_MIN_BYTES && clmul::available() {
         // SAFETY: `clmul::available` detected `pclmulqdq` and `sse4.1`
         // at runtime, and the length check meets `update`'s minimum.
         return !unsafe { clmul::update(!0, data) };
     }
-    let _ = tier;
+    let _ = fold;
     !table_update(!0, data)
 }
 
@@ -236,28 +238,23 @@ mod clmul {
 mod tests {
     use super::*;
 
-    /// Every tier this CPU can run, scalar first.
-    fn tiers() -> Vec<KernelTier> {
-        let mut tiers = vec![KernelTier::Scalar];
-        if KernelTier::detected() != KernelTier::Scalar {
-            tiers.push(KernelTier::detected());
-        }
-        tiers
-    }
+    /// Both kernel choices, the forced table first; folding degrades to
+    /// the table on a CPU without `pclmulqdq`.
+    const FOLDS: [bool; 2] = [false, true];
 
     #[test]
     fn known_vectors() {
-        for tier in tiers() {
-            assert_eq!(crc32_on(tier, b""), 0);
-            assert_eq!(crc32_on(tier, b"123456789"), 0xCBF4_3926);
-            assert_eq!(crc32_on(tier, b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        for fold in FOLDS {
+            assert_eq!(crc32_on(fold, b""), 0);
+            assert_eq!(crc32_on(fold, b"123456789"), 0xCBF4_3926);
+            assert_eq!(crc32_on(fold, b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
             // Long enough to fold: 64 and 1000 zero bytes, 256 x 0xFF
             // and one of every byte value (zlib's `crc32`).
-            assert_eq!(crc32_on(tier, &[0u8; 64]), 0x758D_6336, "{tier:?}");
-            assert_eq!(crc32_on(tier, &[0u8; 1000]), 0x060B_1780, "{tier:?}");
-            assert_eq!(crc32_on(tier, &[0xFFu8; 256]), 0xFEA8_A821, "{tier:?}");
+            assert_eq!(crc32_on(fold, &[0u8; 64]), 0x758D_6336, "fold={fold}");
+            assert_eq!(crc32_on(fold, &[0u8; 1000]), 0x060B_1780, "fold={fold}");
+            assert_eq!(crc32_on(fold, &[0xFFu8; 256]), 0xFEA8_A821, "fold={fold}");
             let ramp: Vec<u8> = (0..=255).collect();
-            assert_eq!(crc32_on(tier, &ramp), 0x2905_8C73, "{tier:?}");
+            assert_eq!(crc32_on(fold, &ramp), 0x2905_8C73, "fold={fold}");
         }
     }
 
@@ -281,14 +278,14 @@ mod tests {
                 (state >> 56) as u8
             })
             .collect();
-        for tier in tiers() {
+        for fold in FOLDS {
             for start in 0..16 {
                 for len in 0..=4096 {
                     let s = &data[start..start + len];
                     assert_eq!(
-                        crc32_on(tier, s),
+                        crc32_on(fold, s),
                         !table_update(!0, s),
-                        "{tier:?} start={start} len={len}"
+                        "fold={fold} start={start} len={len}"
                     );
                 }
             }
@@ -297,18 +294,18 @@ mod tests {
 
     #[test]
     fn single_bit_damage_changes_the_sum() {
-        for tier in tiers() {
+        for fold in FOLDS {
             for len in [64usize, 200] {
                 let data = vec![0xA5u8; len];
-                let clean = crc32_on(tier, &data);
+                let clean = crc32_on(fold, &data);
                 for k in 0..data.len() {
                     for bit in 0..8 {
                         let mut mangled = data.clone();
                         mangled[k] ^= 1 << bit;
                         assert_ne!(
-                            crc32_on(tier, &mangled),
+                            crc32_on(fold, &mangled),
                             clean,
-                            "{tier:?}: flip at byte {k} bit {bit} of {len} undetected"
+                            "fold={fold}: flip at byte {k} bit {bit} of {len} undetected"
                         );
                     }
                 }

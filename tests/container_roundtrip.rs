@@ -377,21 +377,33 @@ fn container_loaded_store_matches_in_memory_store() {
     }
 }
 
-/// The encoded bytes of two fleet libraries at the paper's design point,
-/// pinned by length and CRC-32. Any change to a stored word fails here,
-/// on the detected kernel tier and (CI's forced-scalar leg) on the
-/// scalar fallback. The constants come from the encoder without the
+/// The encoded bytes of two fleet libraries, pinned by length and
+/// CRC-32: both at the paper's design point (int-DCT-W, WS=16), plus
+/// `surface-d5` at int-DCT-W WS=8 and at float DCT-W over every window
+/// size from 8 to 64. Any change to a stored word fails here, on the
+/// detected kernel tier and (CI's forced-scalar leg) on the scalar
+/// fallback. The WS=16 constants come from the encoder without the
 /// constant-window shortcut and the fused threshold pass, so they hold
-/// both to the plain butterfly-then-threshold bytes.
+/// both to the plain butterfly-then-threshold bytes. The other rows were
+/// recorded when every tier encoded through structure-of-arrays forward
+/// kernels (integer and float), so they hold the per-window forwards
+/// that replaced those kernels to the same bytes.
 #[test]
 fn fleet_container_bytes_are_pinned() {
     let registry = compaqt::pulse::registry::Registry::builtin();
-    let compressor = Compressor::new(Variant::IntDctW { ws: 16 });
-    let pinned = [("hex-433", 1_765_704, 0x5bbf_682c), ("surface-d5", 450_689, 0x1846_9f8c)];
-    for (device, len, crc) in pinned {
+    let pinned = [
+        ("hex-433", Variant::IntDctW { ws: 16 }, 1_765_704, 0x5bbf_682c),
+        ("surface-d5", Variant::IntDctW { ws: 16 }, 450_689, 0x1846_9f8c),
+        ("surface-d5", Variant::IntDctW { ws: 8 }, 828_549, 0x12fe_a8ef),
+        ("surface-d5", Variant::DctW { ws: 8 }, 828_533, 0x6b12_478c),
+        ("surface-d5", Variant::DctW { ws: 16 }, 450_665, 0x8db6_c37f),
+        ("surface-d5", Variant::DctW { ws: 32 }, 252_273, 0xff27_4972),
+        ("surface-d5", Variant::DctW { ws: 64 }, 157_877, 0xfad1_903c),
+    ];
+    for (device, variant, len, crc) in pinned {
         let lib = registry.get(device).expect("a builtin device").build_library();
-        let bytes = write_library(&lib, &compressor).unwrap();
+        let bytes = write_library(&lib, &Compressor::new(variant)).unwrap();
         let got = (bytes.len(), compaqt::io::crc32::crc32(&bytes));
-        assert_eq!(got, (len, crc), "{device}: container length and CRC-32");
+        assert_eq!(got, (len, crc), "{device} {variant:?}: container length and CRC-32");
     }
 }

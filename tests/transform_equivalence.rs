@@ -14,11 +14,12 @@
 //! (`sparse::inverse_rle_f64_into`), held bit-for-bit to the matrix
 //! forward and the sparse matrix inverse (`IntDct::inverse_f64_into`).
 //!
-//! The batched structure-of-arrays forward kernels
-//! ([`BatchedIntDctPlan`], [`BatchedDct`]) extend the same contract
-//! across windows: transforming N concatenated windows in one call must
-//! be bit-identical to N per-window calls, on every SIMD tier the
-//! machine can run, for every batch size including ragged tails past the
+//! The batched forward ([`BatchedIntDctPlan`]: the AVX2
+//! structure-of-arrays butterfly, or the per-window kernel on the scalar
+//! tier) extends the same contract across windows: transforming N
+//! concatenated windows in one call must be bit-identical to N
+//! per-window calls and to the matrix oracle, on every tier the machine
+//! can run, for every batch size including ragged tails past the
 //! internal chunk width. Constant windows run through the butterfly here
 //! like any other. The int-DCT-W encoder classifies windows as it stages
 //! them, writes the constant ones' DC word in closed form and batches
@@ -31,8 +32,7 @@
 
 use compaqt::core::compress::{Compressor, Variant, DEFAULT_THRESHOLD};
 use compaqt::core::engine::EncodeScratch;
-use compaqt::dsp::batched::{BatchedDct, BatchedIntDctPlan, KernelTier, MAX_BATCH_CHUNK};
-use compaqt::dsp::dct::Dct;
+use compaqt::dsp::batched::{BatchedIntDctPlan, KernelTier, MAX_BATCH_CHUNK};
 use compaqt::dsp::fixed::Q15;
 use compaqt::dsp::intdct::{IntDct, SUPPORTED_SIZES};
 use compaqt::dsp::rle::{CodedWord, RleEncoder, MAX_COEFF, MIN_COEFF};
@@ -70,7 +70,6 @@ fn hostile_windows(ws: usize) -> Vec<(&'static str, Vec<Q15>)> {
 fn factorized_forward_is_default_and_bit_exact_on_hostile_windows() {
     for ws in EQUIV_SIZES {
         let plan = IntDct::new(ws).unwrap();
-        assert!(plan.uses_factorized_forward(), "ws={ws}: butterfly must be the default");
         let mut fast = vec![0i32; ws];
         let mut oracle = vec![0i32; ws];
         for (name, x) in hostile_windows(ws) {
@@ -81,16 +80,14 @@ fn factorized_forward_is_default_and_bit_exact_on_hostile_windows() {
     }
 }
 
-/// Every SIMD tier the running machine can execute, scalar first. Under
-/// `COMPAQT_FORCE_SCALAR` (the CI fallback leg) this collapses to just
-/// `Scalar`, so the suite exercises exactly the kernels dispatch could
-/// pick — never a tier the CPU would fault on.
+/// Every kernel tier the running machine can execute, scalar first.
+/// Under `COMPAQT_FORCE_SCALAR` (the CI fallback leg) this collapses to
+/// just `Scalar`, so the suite exercises exactly the kernels dispatch
+/// could pick — never a tier the CPU would fault on.
 fn runnable_tiers() -> Vec<KernelTier> {
     let mut tiers = vec![KernelTier::Scalar];
-    match KernelTier::detected() {
-        KernelTier::Avx2 => tiers.extend([KernelTier::Sse2, KernelTier::Avx2]),
-        KernelTier::Sse2 => tiers.push(KernelTier::Sse2),
-        KernelTier::Scalar => {}
+    if KernelTier::detected() == KernelTier::Avx2 {
+        tiers.push(KernelTier::Avx2);
     }
     tiers
 }
@@ -106,7 +103,7 @@ fn batched_forward_is_bit_exact_on_hostile_windows_across_tiers() {
         let plan = IntDct::new(ws).unwrap();
         let mut expected = vec![0i32; ws];
         for (name, x) in hostile_windows(ws) {
-            plan.forward_into(&x, &mut expected);
+            plan.forward_matrix_into(&x, &mut expected);
             for batch in BATCH_SIZES {
                 let windows: Vec<Q15> = x.iter().copied().cycle().take(ws * batch).collect();
                 let mut out = vec![0i32; ws * batch];
@@ -173,36 +170,6 @@ proptest! {
                 let mut bp = BatchedIntDctPlan::with_tier(IntDct::new(ws).unwrap(), tier);
                 bp.forward_batched_into(&windows, &mut batched);
                 prop_assert_eq!(&batched, &per_window, "ws={} batch={} tier={:?}", ws, batch, tier);
-            }
-        }
-    }
-
-    #[test]
-    fn batched_float_forward_matches_per_window_bitwise(
-        raw in proptest::collection::vec(-1.0f64..1.0, 64 * (MAX_BATCH_CHUNK + 5)),
-        batch in 1usize..=MAX_BATCH_CHUNK + 5,
-    ) {
-        // The f64 twin preserves each lane's accumulation order, so even
-        // floating point stays *bitwise* identical to the per-window
-        // kernel — checked via to_bits, which -0.0 == 0.0 would hide.
-        for ws in EQUIV_SIZES {
-            let samples = &raw[..ws * batch];
-            let dct = Dct::new(ws);
-            let mut per_window = vec![0.0f64; ws * batch];
-            for (x, o) in samples.chunks_exact(ws).zip(per_window.chunks_exact_mut(ws)) {
-                dct.forward_into(x, o);
-            }
-            let mut batched = vec![0.0f64; ws * batch];
-            for tier in runnable_tiers() {
-                let mut bp = BatchedDct::with_tier(Dct::new(ws), tier);
-                bp.forward_batched_into(samples, &mut batched);
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-                prop_assert_eq!(
-                    bits(&batched),
-                    bits(&per_window),
-                    "ws={} batch={} tier={:?}",
-                    ws, batch, tier
-                );
             }
         }
     }
