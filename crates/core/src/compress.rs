@@ -601,11 +601,13 @@ fn float_full_into(
 /// `ws`-chunk per window to `coeffs`. The tail window is zero-padded,
 /// matching [`compaqt_dsp::window::split`] with [`PadMode::Zero`].
 ///
-/// Each window runs [`compaqt_dsp::dct::Dct::forward_into`] through the
-/// `window`/`fcoeffs` staging of [`EncodeScratch::float_buffers`], as
-/// the overlapped encoder does. The transform is the shared decode
-/// engine's for this variant, so encode and decode hold one basis per
-/// window size.
+/// The channel is staged flat, zero-padded tail included, and each
+/// window runs [`compaqt_dsp::dct::Dct::forward_into`]; thresholding and
+/// quantization are elementwise, so they run over the flat coefficient
+/// buffer. (Staging one window at a time through
+/// [`EncodeScratch::float_buffers`] costs three resizes and an extend
+/// per window, which dominate at small window sizes.) The transform is the shared decode engine's for this
+/// variant, so encode and decode hold one basis per window size.
 ///
 /// # Errors
 ///
@@ -624,16 +626,18 @@ fn float_windows_into(
         .float_dct()
         .expect("a DCT-W engine has a float stage");
     let scale = f64::from(1u32 << float_coeff_scale_bits(ws));
-    for chunk in samples.chunks(ws) {
-        let (window, fcoeffs, _) = scratch.float_buffers(ws);
-        window[..chunk.len()].copy_from_slice(chunk);
-        window[chunk.len()..].fill(0.0);
-        dct.forward_into(window, fcoeffs);
-        compaqt_dsp::threshold::apply_threshold(fcoeffs, threshold);
-        out.extend(
-            fcoeffs.iter().map(|&c| ((c * scale).round() as i32).clamp(MIN_COEFF, MAX_COEFF)),
-        );
+    let padded = samples.len().div_ceil(ws) * ws;
+    let (stage, fcoeffs) = (&mut scratch.window, &mut scratch.fcoeffs);
+    stage.clear();
+    stage.extend_from_slice(samples);
+    stage.resize(padded, 0.0);
+    fcoeffs.resize(padded, 0.0);
+    let fcoeffs = &mut fcoeffs[..padded];
+    for (x, y) in stage.chunks_exact(ws).zip(fcoeffs.chunks_exact_mut(ws)) {
+        dct.forward_into(x, y);
     }
+    compaqt_dsp::threshold::apply_threshold(fcoeffs, threshold);
+    out.extend(fcoeffs.iter().map(|&c| ((c * scale).round() as i32).clamp(MIN_COEFF, MAX_COEFF)));
     Ok(())
 }
 

@@ -244,9 +244,10 @@ impl DecodeScratch {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EncodeScratch {
-    /// Float window staging (transform input, zero-padded tail).
+    /// Float transform input, zero-padded tail included: a whole DCT-W
+    /// channel, or one lapped frame.
     pub(crate) window: Vec<f64>,
-    /// Float transform/threshold output for the current window.
+    /// Float transform/threshold output for the staged input.
     pub(crate) fcoeffs: Vec<f64>,
     /// Integer transform/threshold output for the current window.
     pub(crate) icoeffs: Vec<i32>,

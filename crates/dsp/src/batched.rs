@@ -85,7 +85,7 @@ pub const MAX_BATCH_CHUNK: usize = 32;
 /// [`crate::fixed::quantize_into`] staging kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelTier {
-    /// Plain per-window loops — the mandatory fallback on every platform.
+    /// Plain scalar code — the mandatory fallback on every platform.
     Scalar,
     /// 256-bit `core::arch` x86_64 AVX2 intrinsics (runtime-detected).
     Avx2,
