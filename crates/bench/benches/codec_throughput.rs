@@ -23,19 +23,24 @@
 //! `inverse_rle_dense_ws16` times the fused decode kernel on a fully
 //! dense window, its worst case; the ungated `inverse_rle_dc_ws16` row
 //! times the same kernel on a DC-only window, the shape most stored
-//! windows have, which it decodes in closed form.
+//! windows have, which it decodes in closed form. Its library twin,
+//! `decompress_into_library_ws16`, decodes every hex-433 gate, I and Q,
+//! through one `DecodeScratch`: the engine's one pass per channel over
+//! real windows, most of them zero, DC-only or padded DC-only shapes.
 //!
-//! Six rows carry absolute time budgets (the [`BUDGETS`] table):
+//! Eight rows carry absolute time budgets (the [`BUDGETS`] table):
 //! `decompress_into/cr_1362_ws16` in ns per sample,
 //! `inverse_rle_dense_ws16` in ns per window,
 //! `compress_into/cr_1362_ws8` in ns per sample,
-//! `forward_batched_ws16` and `forward_batched_ws32` in ns per window and
-//! `encode_channel_library_ws16` in ns per sample. A budget is a
-//! constant in this file, recorded on a named host, so a run cannot
-//! move it; it is the one gate kind on codec cost (no same-run ratios).
+//! `forward_batched_ws16` and `forward_batched_ws32` in ns per window,
+//! `encode_channel_library_ws16` and `decompress_into_library_ws16` in
+//! ns per sample and `store_fetch/cold_fetch_into` in ns per fetch. A
+//! budget is a constant in this file, recorded on a named host, so a
+//! run cannot move it; it is the one gate kind on codec cost (no
+//! same-run ratios).
 //!
 //! The serving path is measured too: `store_fetch/cold_fetch_into`
-//! (sharded-store streaming fetch, decodes every call) vs
+//! (sharded-store streaming fetch, decodes every call; gated) vs
 //! `store_fetch/hot_fetch_cached` (decoded-LRU hit, no IDCT) — the
 //! runtime single-gate workload the store exists for. The `container_io`
 //! group adds informational serialize/validate/serve rows for the CWL
@@ -92,19 +97,30 @@ use std::hint::black_box;
 /// | `forward_batched_ws32` | 81.7–88.6 ns/window | 112 | 117.2–118.2 |
 /// | `encode_channel_library_ws16` | 1.618–1.646 ns/sample | 2.6 | — |
 ///
+/// The last two budgets are about 1.6x the slowest of three runs of the
+/// one-pass decode, taken while the same host ran every other row up
+/// to 2.5x slower than the tables above:
+///
+/// | row | three runs | budget |
+/// |-----|------------|--------|
+/// | `decompress_into_library_ws16` | 1.072–1.735 ns/sample | 2.8 |
+/// | `store_fetch/cold_fetch_into` | 1895–3416 ns/fetch | 5500 |
+///
 /// A slower host needs its own table, set the same way.
-const BUDGETS: [(&str, &str, f64, &str, f64); 6] = [
+const BUDGETS: [(&str, &str, f64, &str, f64); 8] = [
     ("decompress_into", "cr_1362_ws16", 2.0 * 1362.0, "sample", 0.85),
     ("intdct_kernel", "inverse_rle_dense_ws16", 1.0, "window", 58.0),
     ("compress_into", "cr_1362_ws8", 1362.0, "sample", 6.8),
     ("intdct_kernel", "forward_batched_ws16", 64.0, "window", 44.0),
     ("intdct_kernel", "forward_batched_ws32", 64.0, "window", 112.0),
     ("intdct_kernel", "encode_channel_library_ws16", LIBRARY_SAMPLES, "sample", 2.6),
+    ("intdct_kernel", "decompress_into_library_ws16", LIBRARY_SAMPLES, "sample", 2.8),
+    ("store_fetch", "cold_fetch_into", 1.0, "fetch", 5500.0),
 ];
 
 /// Samples in hex-433's I and Q channels together, the units of one
-/// `encode_channel_library_ws16` iteration (checked against the library
-/// when the row is set up).
+/// `encode_channel_library_ws16` or `decompress_into_library_ws16`
+/// iteration (checked against the library when the rows are set up).
 const LIBRARY_SAMPLES: f64 = 4_057_324.0;
 
 fn bench_intdct_kernel(c: &mut Criterion) {
@@ -218,6 +234,26 @@ fn bench_intdct_kernel(c: &mut Criterion) {
                     .unwrap();
             }
             black_box(coeffs.len())
+        })
+    });
+    // Its decode twin: every hex-433 gate, I and Q, decoded through one
+    // `DecodeScratch` into reused buffers. Most stored windows are the
+    // zero, DC-only and padded DC-only shapes filled in closed form.
+    let streams: Vec<CompressedWaveform> =
+        library.iter_sorted().map(|(_, wf)| compressor.compress(wf).unwrap()).collect();
+    let engine = DecompressionEngine::shared(compressor.variant()).unwrap();
+    let mut scratch = DecodeScratch::new();
+    let (mut i, mut q) = (Vec::new(), Vec::new());
+    group.bench_function("decompress_into_library_ws16", |b| {
+        b.iter(|| {
+            let mut samples = 0;
+            for z in &streams {
+                samples += engine
+                    .decompress_into(black_box(z), &mut scratch, &mut i, &mut q)
+                    .unwrap()
+                    .output_samples;
+            }
+            black_box(samples)
         })
     });
     group.finish();

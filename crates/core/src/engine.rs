@@ -20,10 +20,17 @@
 //!   through a caller-owned [`DecodeScratch`] plus caller output `Vec`s.
 //!   After the first decode warms the buffers, steady-state decoding of a
 //!   whole pulse library performs **zero heap allocations per window**
-//!   (the `alloc_regression` integration test enforces this). Every
-//!   integer window, sparse or dense, takes the fused RLE + sparse
-//!   inverse ([`compaqt_dsp::sparse::inverse_rle_f64_into`]), whose
-//!   cost scales with the stored words.
+//!   (the `alloc_regression` integration test enforces this). An
+//!   int-DCT-W channel decodes in one pass: after the pre-pass that
+//!   rejects windows claiming more samples than their words can expand
+//!   to, the output is reserved once and each window is appended to it
+//!   and counted in [`EngineStats`] as it is decoded. Windows stored as
+//!   a constant shape (zero, DC-only, or DC-only padded by I/Q
+//!   equalization; [`compaqt_dsp::sparse::constant_window_sample`]) are
+//!   filled in closed form; every other integer window, sparse or
+//!   dense, takes the fused RLE + sparse inverse
+//!   ([`compaqt_dsp::sparse::inverse_rle_f64_into`]), whose cost scales
+//!   with the stored words and which validates the window.
 //! * [`DecompressionEngine::decompress`] is a convenience wrapper: a
 //!   fresh scratch and fresh buffers through the same path.
 //!
@@ -55,7 +62,7 @@ use compaqt_dsp::fixed::Q15;
 use compaqt_dsp::intdct::{IntDct, SUPPORTED_SIZES};
 use compaqt_dsp::plan::DctPlanCache;
 use compaqt_dsp::rle::{CodedWord, RleDecoder, RleError};
-use compaqt_dsp::sparse::inverse_rle_f64_into;
+use compaqt_dsp::sparse::{constant_window_sample, inverse_rle_f64_into};
 use compaqt_pulse::waveform::Waveform;
 use std::sync::OnceLock;
 
@@ -103,14 +110,15 @@ impl EngineStats {
         self.cycles += other.cycles;
     }
 
-    /// Accounts one stored window: its words are read from memory, its
-    /// run-length codewords decoded, and one IDCT evaluated (one cycle
-    /// per word plus one for the IDCT).
-    fn tally_window(&mut self, words: &[CodedWord]) {
-        self.memory_words_read += words.len();
-        self.rle_codewords += words.iter().filter(|w| matches!(w, CodedWord::Rle(_))).count();
+    /// Accounts one stored window of `words` words, `rle` of them
+    /// run-length codewords: its words are read from memory, its
+    /// codewords decoded, and one IDCT evaluated (one cycle per word
+    /// plus one for the IDCT).
+    fn tally_window(&mut self, words: usize, rle: usize) {
+        self.memory_words_read += words;
+        self.rle_codewords += rle;
         self.idct_windows += 1;
-        self.cycles += words.len() as u64 + 1;
+        self.cycles += words as u64 + 1;
     }
 }
 
@@ -530,54 +538,42 @@ impl DecompressionEngine {
                 let window = self.effective_window(windows.len(), n_samples)?;
                 check_window_claims(windows, window)?;
                 let base = out.len();
-                let total =
-                    windows.len().checked_mul(window).and_then(|t| t.checked_add(base)).ok_or(
-                        CompressError::MalformedStream {
-                            reason: "window layout overflows the address space",
-                        },
-                    )?;
-                out.resize(total, 0.0);
-                let produced = total - base;
-                let mut pos = base;
-                for words in windows {
-                    stats.tally_window(words);
-                    self.decode_window_into(words, scratch, &mut out[pos..pos + window])?;
-                    pos += window;
+                let produced = windows
+                    .len()
+                    .checked_mul(window)
+                    .filter(|&p| base.checked_add(p).is_some())
+                    .ok_or(CompressError::MalformedStream {
+                        reason: "window layout overflows the address space",
+                    })?;
+                out.reserve(produced);
+                match &self.stage {
+                    InverseStage::Integer(t) => {
+                        append_int_windows(t, windows, &mut scratch.coeffs, out, stats)?;
+                    }
+                    InverseStage::Float { dct, scale } => {
+                        for words in windows {
+                            stats.tally_window(words.len(), rle_codewords(words));
+                            scratch.dequantize(words, window, *scale)?;
+                            dct.inverse_into(&scratch.fcoeffs, append_zeros(out, window));
+                        }
+                    }
+                    InverseStage::None => {
+                        // DCT-N: full-length inverse through the cached plan.
+                        let scale =
+                            f64::from(1u32 << crate::compress::float_coeff_scale_bits(window));
+                        for words in windows {
+                            stats.tally_window(words.len(), rle_codewords(words));
+                            scratch.dequantize(words, window, scale)?;
+                            let plan = scratch.plans.plan(window);
+                            plan.inverse_into(&scratch.fcoeffs, append_zeros(out, window));
+                        }
+                    }
                 }
                 stats.output_samples += n_samples.min(produced);
                 out.truncate(base + n_samples.min(produced));
                 Ok(())
             }
         }
-    }
-
-    /// Expands one window's codewords and inverse-transforms them into
-    /// `dst` (one window long) without allocating. Integer windows take
-    /// the fused RLE + sparse inverse; float windows are expanded and
-    /// dequantized into the scratch first.
-    fn decode_window_into(
-        &self,
-        words: &[CodedWord],
-        scratch: &mut DecodeScratch,
-        dst: &mut [f64],
-    ) -> Result<(), CompressError> {
-        let window = dst.len();
-        match &self.stage {
-            InverseStage::Integer(t) => {
-                inverse_rle_f64_into(t, words, INT_STORE_SHIFT, &mut scratch.coeffs, dst)?;
-            }
-            InverseStage::Float { dct, scale } => {
-                scratch.dequantize(words, window, *scale)?;
-                dct.inverse_into(&scratch.fcoeffs, dst);
-            }
-            InverseStage::None => {
-                // DCT-N: full-length inverse through the cached plan.
-                let scale = f64::from(1u32 << crate::compress::float_coeff_scale_bits(window));
-                scratch.dequantize(words, window, scale)?;
-                scratch.plans.plan(window).inverse_into(&scratch.fcoeffs, dst);
-            }
-        }
-        Ok(())
     }
 
     /// Window length for this stream: fixed for windowed variants, the
@@ -597,6 +593,50 @@ impl DecompressionEngine {
             Err(CompressError::MalformedStream { reason: "DCT-N streams store exactly one window" })
         }
     }
+}
+
+/// Decodes int-DCT-W windows, appending `t.len()` samples per window to
+/// `out` and accounting each window in `stats` before it is decoded.
+/// Windows stored as a constant shape (zero, DC-only, or DC-only padded
+/// by I/Q equalization; see [`constant_window_sample`]) are filled in
+/// closed form and counted from the shape; every other window takes
+/// the fused RLE + sparse inverse, which validates it.
+///
+/// Kept out of line: inlined into [`DecompressionEngine::decode_channel_into`],
+/// the closed-form fill became a call to `Vec::resize` per window.
+#[inline(never)]
+fn append_int_windows(
+    t: &IntDct,
+    windows: &[Vec<CodedWord>],
+    coeffs: &mut Vec<i32>,
+    out: &mut Vec<f64>,
+    stats: &mut EngineStats,
+) -> Result<(), RleError> {
+    let window = t.len();
+    for words in windows {
+        if let Some(sample) = constant_window_sample(t, words, INT_STORE_SHIFT) {
+            // Each constant shape holds one run codeword.
+            stats.tally_window(words.len(), 1);
+            out.resize(out.len() + window, sample);
+        } else {
+            stats.tally_window(words.len(), rle_codewords(words));
+            inverse_rle_f64_into(t, words, INT_STORE_SHIFT, coeffs, append_zeros(out, window))?;
+        }
+    }
+    Ok(())
+}
+
+/// The run-length codewords among one window's words.
+fn rle_codewords(words: &[CodedWord]) -> usize {
+    words.iter().filter(|w| matches!(w, CodedWord::Rle(_))).count()
+}
+
+/// Appends `window` zeros to `out` and returns them, for a kernel that
+/// writes a window in place.
+fn append_zeros(out: &mut Vec<f64>, window: usize) -> &mut [f64] {
+    let pos = out.len();
+    out.resize(pos + window, 0.0);
+    &mut out[pos..]
 }
 
 /// Post-decode consistency check shared by every whole-waveform decode

@@ -9,13 +9,17 @@
 //!
 //! Most stored windows of a real pulse library come from windows that
 //! were constant in Q1.15 (all zero, or one flat-top value), and the
-//! encoder stores those in one of two shapes: a bare zero run
-//! `[Rle(ws)]`, or a DC word and a zero run `[Coeff(v), Rle(ws - 1)]`.
-//! Those two shapes are matched first and decoded in closed form, the
-//! way HEVC decoders special-case DC-only blocks: row 0 of the
-//! transform is the constant `T[0][i] = 64`, so every output sample is
-//! the same `clamp((((64 * v) << pre_shift) + rnd) >> inverse_shift)`.
-//! A well-formed shape cannot fail, so no error is skipped.
+//! encoder stores those in one of three shapes: a bare zero run
+//! `[Rle(ws)]`, a DC word and a zero run `[Coeff(v), Rle(ws - 1)]`, or
+//! the same DC word padded with zero coefficient words by I/Q
+//! equalization, `[Coeff(v), Coeff(0), …, Rle(run)]` with
+//! `1 + zeros + run == ws`. [`constant_window_sample`] matches those
+//! shapes (runs that repeat the previous value excluded) and decodes
+//! them in closed form, the way HEVC decoders special-case DC-only
+//! blocks: row 0 of the transform is the constant `T[0][i] = 64`, so
+//! every output sample is the same
+//! `clamp((((64 * v) << pre_shift) + rnd) >> inverse_shift)`. A
+//! well-formed shape cannot fail, so no error is skipped.
 //!
 //! Every other window, including every malformed one, takes one walk
 //! over the words that checks the run lengths and collects the
@@ -107,21 +111,9 @@ fn inverse_rle_f64_on(
     let window = dst.len();
     assert_eq!(window, t.len(), "output must be one window");
     assert!(pre_shift <= MAX_PRE_SHIFT, "pre_shift {pre_shift} overflows the i32 accumulators");
-    // The two shapes a constant window is stored as: zero, or DC only.
-    match *words {
-        [CodedWord::Rle(RleCodeword { run, repeat_previous: false })]
-            if usize::from(run) == window =>
-        {
-            dst.fill(0.0);
-            return Ok(());
-        }
-        [CodedWord::Coeff(v), CodedWord::Rle(RleCodeword { run, repeat_previous: false })]
-            if usize::from(run) + 1 == window =>
-        {
-            dst.fill(dc_sample(t, v, pre_shift));
-            return Ok(());
-        }
-        _ => {}
+    if let Some(sample) = constant_window_sample(t, words, pre_shift) {
+        dst.fill(sample);
+        return Ok(());
     }
     let mut terms = [(0u16, 0i16); 64];
     let Some(n) = collect_terms(words, window, &mut terms)? else {
@@ -148,6 +140,58 @@ fn inverse_rle_f64_on(
         _ => sparse_scalar(t, terms, pre_shift, dst),
     }
     Ok(())
+}
+
+/// The one sample value of a window stored as a constant shape, or
+/// `None` for any other window. The shapes are a bare zero run
+/// `[Rle(ws)]` and a DC word, any number of zero coefficient words and
+/// one closing zero run, `[Coeff(v), Coeff(0), …, Rle(run)]` with
+/// `1 + zeros + run == t.len()`; a run that repeats the previous value
+/// never matches. A matched window is well formed, and decoding it
+/// through [`inverse_rle_f64_into`] fills every sample with this value.
+/// Each shape holds exactly one run-length codeword.
+///
+/// # Panics
+///
+/// Panics if `pre_shift > MAX_PRE_SHIFT`.
+///
+/// # Example
+///
+/// ```
+/// use compaqt_dsp::intdct::IntDct;
+/// use compaqt_dsp::rle::{CodedWord, RleCodeword};
+/// use compaqt_dsp::sparse::constant_window_sample;
+///
+/// let t = IntDct::new(8)?;
+/// let run = |run| CodedWord::Rle(RleCodeword { run, repeat_previous: false });
+/// // DC word, two zero words kept by I/Q equalization, a 5-sample run.
+/// let padded = [CodedWord::Coeff(512), CodedWord::Coeff(0), CodedWord::Coeff(0), run(5)];
+/// let dc_only = [CodedWord::Coeff(512), run(7)];
+/// assert!(constant_window_sample(&t, &padded, 2).is_some());
+/// assert_eq!(constant_window_sample(&t, &padded, 2), constant_window_sample(&t, &dc_only, 2));
+/// assert_eq!(constant_window_sample(&t, &[run(8)], 2), Some(0.0));
+/// // An AC coefficient makes the window vary.
+/// assert_eq!(constant_window_sample(&t, &[CodedWord::Coeff(512), CodedWord::Coeff(1), run(6)], 2), None);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[inline]
+pub fn constant_window_sample(t: &IntDct, words: &[CodedWord], pre_shift: u32) -> Option<f64> {
+    assert!(pre_shift <= MAX_PRE_SHIFT, "pre_shift {pre_shift} overflows the i32 accumulators");
+    let window = t.len();
+    match *words {
+        [CodedWord::Rle(RleCodeword { run, repeat_previous: false })]
+            if usize::from(run) == window =>
+        {
+            Some(0.0)
+        }
+        [CodedWord::Coeff(v), ref zeros @ .., CodedWord::Rle(RleCodeword { run, repeat_previous: false })]
+            if 1 + zeros.len() + usize::from(run) == window
+                && zeros.iter().all(|&w| w == CodedWord::Coeff(0)) =>
+        {
+            Some(dc_sample(t, v, pre_shift))
+        }
+        _ => None,
+    }
 }
 
 /// Walks one window's words, storing each nonzero coefficient as
@@ -401,6 +445,127 @@ mod tests {
                             .unwrap();
                         // Neither side makes NaN or -0.0, so `==` is bitwise.
                         assert!(got == expect, "ws={ws} {tier:?} pre_shift={pre_shift} v={v}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Samples (as bits) or the error of the materializing route at
+    /// `pre_shift`: [`RleDecoder::decode_window_into`], then the
+    /// reference inverse.
+    fn reference_at(t: &IntDct, words: &[CodedWord], pre_shift: u32) -> Result<Vec<u64>, RleError> {
+        let mut coeffs = vec![0i32; t.len()];
+        RleDecoder::new().decode_window_into(words, &mut coeffs)?;
+        let mut out = vec![0.0; t.len()];
+        t.inverse_f64_into(&coeffs, pre_shift, &mut out);
+        Ok(out.iter().map(|v| v.to_bits()).collect())
+    }
+
+    fn fused_at(
+        tier: KernelTier,
+        t: &IntDct,
+        words: &[CodedWord],
+        pre_shift: u32,
+    ) -> Result<Vec<u64>, RleError> {
+        let mut out = vec![f64::NAN; t.len()];
+        inverse_rle_f64_on(tier, t, words, pre_shift, &mut Vec::new(), &mut out)?;
+        Ok(out.iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// `[Coeff(v), Coeff(0) x zeros, Rle(ws - 1 - zeros)]`: a DC-only
+    /// window as I/Q equalization pads it.
+    fn padded_dc(v: i16, zeros: usize, ws: usize) -> Vec<CodedWord> {
+        let mut words = vec![CodedWord::Coeff(v)];
+        words.extend(std::iter::repeat_n(CodedWord::Coeff(0), zeros));
+        words.push(self::zeros(u16::try_from(ws - 1 - zeros).unwrap()));
+        words
+    }
+
+    /// Every i16 DC word at every padding length through every runnable
+    /// tier, for one size and shift. The coefficient window is the same
+    /// for every padding, so one reference inverse serves them all.
+    fn check_padded_dc(ws: usize, pre_shift: u32) {
+        let (t, tiers) = (IntDct::new(ws).unwrap(), tiers());
+        let mut coeffs = vec![0i32; ws];
+        let (mut expect, mut got) = (vec![0.0; ws], vec![0.0; ws]);
+        let mut shapes: Vec<Vec<CodedWord>> =
+            (0..ws).map(|zeros| padded_dc(0, zeros, ws)).collect();
+        for v in i16::MIN..=i16::MAX {
+            coeffs[0] = i32::from(v);
+            t.inverse_f64_into(&coeffs, pre_shift, &mut expect);
+            for words in &mut shapes {
+                words[0] = CodedWord::Coeff(v);
+                let sample = constant_window_sample(&t, words, pre_shift);
+                assert_eq!(sample, Some(expect[0]), "ws={ws} pre_shift={pre_shift} {words:?}");
+                for &tier in &tiers {
+                    got.fill(f64::NAN);
+                    inverse_rle_f64_on(tier, &t, words, pre_shift, &mut Vec::new(), &mut got)
+                        .unwrap();
+                    // Neither side makes NaN or -0.0, so `==` is bitwise.
+                    assert!(got == expect, "ws={ws} {tier:?} pre_shift={pre_shift} {words:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn padded_dc_only_windows_match_the_reference_for_every_word() {
+        // Exhaustive over the padded closed-form shape: every i16 DC
+        // word, every padding length, every size and every
+        // dequantization shift, on every runnable tier; one thread per
+        // (size, shift).
+        std::thread::scope(|scope| {
+            for ws in SUPPORTED_SIZES {
+                for pre_shift in 0..=MAX_PRE_SHIFT {
+                    scope.spawn(move || check_padded_dc(ws, pre_shift));
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn near_miss_constant_shapes_decode_like_the_reference() {
+        // Shapes one step away from a constant shape: a nonzero word
+        // after the DC, a closing run that repeats the previous value,
+        // and a closing run one short or one long. None is a constant
+        // shape; each must give the materializing route's samples or
+        // error on every tier and at every shift.
+        let repeat = |run: u16| CodedWord::Rle(RleCodeword { run, repeat_previous: true });
+        for ws in SUPPORTED_SIZES {
+            let t = IntDct::new(ws).unwrap();
+            for v in [i16::MIN, -1, 0, 1, 2047, i16::MAX] {
+                for zeros in 0..ws {
+                    let base = padded_dc(v, zeros, ws);
+                    let run = u16::try_from(ws - 1 - zeros).unwrap();
+                    let mut cases = Vec::new();
+                    for (at, ac) in [(1, 1), (zeros, -3), (zeros, i16::MIN)] {
+                        if at >= 1 && at <= zeros {
+                            let mut words = base.clone();
+                            words[at] = CodedWord::Coeff(ac);
+                            cases.push(words);
+                        }
+                    }
+                    let mut words = base.clone();
+                    *words.last_mut().unwrap() = repeat(run);
+                    cases.push(words);
+                    for run in [run.wrapping_sub(1), run + 1] {
+                        let mut words = base.clone();
+                        *words.last_mut().unwrap() = self::zeros(run);
+                        cases.push(words);
+                    }
+                    for words in &cases {
+                        for pre_shift in 0..=MAX_PRE_SHIFT {
+                            assert_eq!(constant_window_sample(&t, words, pre_shift), None);
+                            let expect = reference_at(&t, words, pre_shift);
+                            for tier in tiers() {
+                                assert_eq!(
+                                    fused_at(tier, &t, words, pre_shift),
+                                    expect,
+                                    "ws={ws} {tier:?} pre_shift={pre_shift} {words:?}"
+                                );
+                            }
+                        }
                     }
                 }
             }
