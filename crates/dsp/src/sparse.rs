@@ -364,19 +364,13 @@ mod tests {
         CodedWord::Rle(RleCodeword { run, repeat_previous: false })
     }
 
-    /// The materializing reference: expand, then the i64 inverse.
+    /// The materializing reference at [`MAX_PRE_SHIFT`].
     fn reference(t: &IntDct, words: &[CodedWord]) -> Result<Vec<u64>, RleError> {
-        let mut coeffs = vec![0i32; t.len()];
-        RleDecoder::new().decode_window_into(words, &mut coeffs)?;
-        let mut out = vec![0.0; t.len()];
-        t.inverse_f64_into(&coeffs, MAX_PRE_SHIFT, &mut out);
-        Ok(out.iter().map(|v| v.to_bits()).collect())
+        reference_at(t, words, MAX_PRE_SHIFT)
     }
 
     fn fused(tier: KernelTier, t: &IntDct, words: &[CodedWord]) -> Result<Vec<u64>, RleError> {
-        let mut out = vec![f64::NAN; t.len()];
-        inverse_rle_f64_on(tier, t, words, MAX_PRE_SHIFT, &mut Vec::new(), &mut out)?;
-        Ok(out.iter().map(|v| v.to_bits()).collect())
+        fused_at(tier, t, words, MAX_PRE_SHIFT)
     }
 
     /// A random sparse window: coefficients (often extreme) at random
@@ -451,9 +445,9 @@ mod tests {
         }
     }
 
-    /// Samples (as bits) or the error of the materializing route at
-    /// `pre_shift`: [`RleDecoder::decode_window_into`], then the
-    /// reference inverse.
+    /// The materializing reference at `pre_shift`: expand with
+    /// [`RleDecoder::decode_window_into`], then the i64 inverse; samples
+    /// as bits, or the error.
     fn reference_at(t: &IntDct, words: &[CodedWord], pre_shift: u32) -> Result<Vec<u64>, RleError> {
         let mut coeffs = vec![0i32; t.len()];
         RleDecoder::new().decode_window_into(words, &mut coeffs)?;
